@@ -1,6 +1,6 @@
 //! Throughput scaling of the deterministic parallel campaign engine,
 //! plus the bounded-memory streaming series (`campaign_memory`): peak
-//! RSS of a `run_streamed` campaign must stay flat as the grid grows,
+//! RSS of a streamed campaign must stay flat as the grid grows,
 //! and each record carries `peak_rss_kib` so bench-diff guards the
 //! ceiling across commits.
 //!
@@ -10,12 +10,12 @@
 //! is wall-clock time — the per-worker-count sample times ARE the
 //! scaling curve.
 //!
-//! Worker counts are requests: [`CampaignGrid::run`] clamps the
-//! effective width to the machine's available parallelism, so on a
-//! single-CPU host every variant degenerates to the serial fast path
-//! and the curve is flat at ~1.0x (the pre-clamp engine was ~24 %
-//! *slower* at 4 workers there). The ≥1.5x speedup check therefore
-//! only fires on machines with at least 4 CPUs.
+//! Worker counts are requests resolved through [`resolve_jobs`], the
+//! same CPU clamp the CLI applies, so on a single-CPU host every
+//! variant degenerates to the serial fast path and the curve is flat at
+//! ~1.0x (the pre-clamp engine was ~24 % *slower* at 4 workers there).
+//! The ≥1.5x speedup check therefore only fires on machines with at
+//! least 4 CPUs.
 
 use std::num::NonZeroUsize;
 
@@ -23,8 +23,9 @@ use hh_bench::harness::{quick, BatchSize, Criterion};
 use hh_bench::{criterion_group, criterion_main};
 use hyperhammer::driver::DriverParams;
 use hyperhammer::machine::Scenario;
-use hyperhammer::parallel::{CampaignGrid, CellResult};
+use hyperhammer::parallel::{resolve_jobs, CampaignGrid, CellResult};
 use hyperhammer::streamref::{merge_shards, CampaignAggregate, CampaignStreamer};
+use hyperhammer::{CancelToken, MachineTemplate};
 use std::hint::black_box;
 
 fn grid(cells: usize) -> CampaignGrid {
@@ -48,9 +49,9 @@ fn bench_scaling(c: &mut Criterion) {
     group.meta("tiny_demo", 0x5ca1e);
     for &cells in cell_counts {
         let grid = grid(cells);
-        let reference = grid.run_serial().expect("serial reference runs");
+        let reference = grid.run(NonZeroUsize::MIN).expect("serial reference runs");
         for &workers in worker_counts {
-            let jobs = NonZeroUsize::new(workers).expect("non-zero");
+            let jobs = resolve_jobs(Some(workers));
             let name = format!("tiny_demo_{cells}cells_{workers}w");
             group.bench_function(&name, |b| {
                 b.iter(|| {
@@ -72,7 +73,7 @@ fn bench_scaling(c: &mut Criterion) {
         let mut base = None;
         let mut speedup_at_4 = None;
         for &workers in worker_counts {
-            let jobs = NonZeroUsize::new(workers).expect("non-zero");
+            let jobs = resolve_jobs(Some(workers));
             let best = (0..timings)
                 .map(|_| {
                     let t0 = std::time::Instant::now();
@@ -124,8 +125,10 @@ fn run_streamed_discard(grid: &CampaignGrid, jobs: NonZeroUsize, dir: &std::path
         .expect("write to String");
     };
     let fmt_trace: Fmt = |_, _| {};
+    let templates = grid.scenario_templates();
+    let refs: Vec<&MachineTemplate> = templates.iter().collect();
     let consumers = grid
-        .run_streamed(jobs, |worker| {
+        .run_streamed_resume(jobs, &refs, &CancelToken::new(), &|_| false, |worker| {
             CampaignStreamer::new(dir, worker, false, fmt_cell, fmt_trace)
         })
         .expect("streamed grid runs");
@@ -212,7 +215,7 @@ fn bench_variants(c: &mut Criterion) {
         .map(|v| Scenario::micro_demo().with_variant(*v))
         .collect();
     let grid = CampaignGrid::new(scenarios, params.clone(), 2).with_seed_count(0x7a21a, 1);
-    let reference = grid.run_serial().expect("serial reference runs");
+    let reference = grid.run(NonZeroUsize::MIN).expect("serial reference runs");
     for workers in [2, 4] {
         let jobs = NonZeroUsize::new(workers).expect("non-zero");
         let results = grid.run(jobs).expect("grid runs");

@@ -19,8 +19,9 @@ use std::num::NonZeroUsize;
 
 use hyperhammer::driver::DriverParams;
 use hyperhammer::machine::{AttackVariant, Scenario};
-use hyperhammer::parallel::{CampaignGrid, CellResult};
+use hyperhammer::parallel::{CampaignGrid, CellConsumer, CellResult};
 use hyperhammer::steering::RetryPolicy;
+use hyperhammer::{CancelToken, MachineTemplate};
 
 /// One row of Table 3.
 #[derive(Debug, Clone, PartialEq)]
@@ -106,20 +107,40 @@ pub fn run_grid(
         ..DriverParams::paper()
     };
     let grid = CampaignGrid::new(scenarios, params, max_attempts).with_seeds(seeds.to_vec());
-    let results = grid
-        .run_with_progress(jobs, |cell| {
-            eprintln!(
-                "  [{} seed {:#x}] {} attempts, first success: {}",
-                cell.scenario,
-                cell.seed,
-                cell.stats.attempts.len(),
-                cell.stats
-                    .first_success()
-                    .map_or("none".to_string(), |n| n.to_string()),
-            );
+    let templates = grid.scenario_templates();
+    let refs: Vec<&MachineTemplate> = templates.iter().collect();
+    let sinks = grid
+        .run_streamed_resume(jobs, &refs, &CancelToken::new(), &|_| false, |_| {
+            ProgressRows(Vec::new())
         })
         .expect("campaign grid runs");
-    results.iter().map(Table3Row::from).collect()
+    let mut rows: Vec<(usize, Table3Row)> = sinks.into_iter().flat_map(|s| s.0).collect();
+    rows.sort_unstable_by_key(|(index, _)| *index);
+    rows.into_iter().map(|(_, row)| row).collect()
+}
+
+/// Logs each cell's completion to stderr as it happens (scheduling
+/// order, liveness only) and keeps its row for the grid-order table.
+struct ProgressRows(Vec<(usize, Table3Row)>);
+
+impl CellConsumer for ProgressRows {
+    fn consume(
+        &mut self,
+        index: usize,
+        mut cell: CellResult,
+    ) -> std::io::Result<Option<hh_trace::TraceSink>> {
+        eprintln!(
+            "  [{} seed {:#x}] {} attempts, first success: {}",
+            cell.scenario,
+            cell.seed,
+            cell.stats.attempts.len(),
+            cell.stats
+                .first_success()
+                .map_or("none".to_string(), |n| n.to_string()),
+        );
+        self.0.push((index, Table3Row::from(&cell)));
+        Ok(cell.trace.take())
+    }
 }
 
 /// Prints the table.

@@ -1,17 +1,18 @@
 //! Subcommand implementations.
 
-use std::fs::{File, OpenOptions};
+use std::fs::File;
 use std::io::{BufWriter, Write};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use hh_dram::dramdig::recover;
 use hh_dram::timing::{AccessTiming, TimingProbe};
+use hh_server::journal::Journal;
 use hh_sim::addr::HUGE_PAGE_SIZE;
 use hh_sim::clock::SimDuration;
 use hh_sim::Gpa;
-use hh_trace::{Counter, Metrics, Stage, TraceMode};
+use hh_trace::{Counter, Metrics, Stage, TraceMode, TraceSink};
 use hyperhammer::driver::{AttackDriver, AttemptOutcome, DriverParams};
 use hyperhammer::machine::{AttackVariant, Scenario};
 use hyperhammer::parallel::{
@@ -19,7 +20,7 @@ use hyperhammer::parallel::{
 };
 use hyperhammer::profile::{ProfileParams, Profiler};
 use hyperhammer::steering::PageSteering;
-use hyperhammer::streamref::{merge_shards, CampaignAggregate, CampaignStreamer};
+use hyperhammer::streamref::{merge_shards, CampaignAggregate, CampaignStreamer, ShardInfo};
 use hyperhammer::{JobSpec, MachineTemplate};
 
 use crate::opts::{ClientAction, Command, FaultOpts, Options};
@@ -48,25 +49,22 @@ pub fn run(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
             jobs,
             faults,
             checkpoint,
-            checkpoint_every,
             resume,
             stop_after_cells,
         } => {
-            if checkpoint.is_some() || resume.is_some() {
-                campaign_checkpointed(
-                    opts,
-                    grid_spec(*seeds, *base_seed, *attempts, *bits, *faults, scenarios),
-                    *jobs,
-                    checkpoint.as_deref(),
-                    *checkpoint_every,
-                    resume.as_deref(),
-                    *stop_after_cells,
-                )
-            } else {
-                campaign(
-                    opts, scenarios, *seeds, *base_seed, *attempts, *bits, *jobs, *faults,
-                )
-            }
+            let journal = match (checkpoint, resume) {
+                (_, Some(path)) => JournalMode::Resume(path),
+                (Some(path), None) => JournalMode::Create(path),
+                (None, None) => JournalMode::Off,
+            };
+            campaign(
+                opts,
+                scenarios,
+                grid_spec(*seeds, *base_seed, *attempts, *bits, *faults, scenarios),
+                *jobs,
+                journal,
+                *stop_after_cells,
+            )
         }
         Command::Trace {
             scenarios,
@@ -349,63 +347,285 @@ fn attack(opts: &Options, attempts: usize, bits: usize) -> Result<(), Box<dyn st
     Ok(())
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Where a `campaign` run's completed cells are journaled:
+/// `--checkpoint` creates the journal, `--resume` reopens one.
+#[derive(Clone, Copy)]
+enum JournalMode<'a> {
+    Off,
+    Create(&'a str),
+    Resume(&'a str),
+}
+
+/// The `campaign` command — one body for every output mode. Cells run
+/// through [`CampaignGrid::run_streamed_resume`] into per-worker
+/// [`CampaignSink`]s; only the end-of-run printing differs between the
+/// in-memory table/`--json`, `--stream-out` and checkpointed runs, and
+/// each prints bytes identical to an uninterrupted in-memory run for
+/// any `--jobs` value.
 fn campaign(
     opts: &Options,
     scenarios: &[Scenario],
-    seeds: usize,
-    base_seed: u64,
-    attempts: usize,
-    bits: usize,
+    cli_spec: JobSpec,
     jobs: Option<usize>,
-    faults: FaultOpts,
+    journal_mode: JournalMode<'_>,
+    stop_after: Option<usize>,
 ) -> Result<(), Box<dyn std::error::Error>> {
+    // On resume the grid is rebuilt from the spec recorded in the
+    // journal; grid flags from the current command line are ignored so
+    // the resumed cells can never diverge from the checkpointed ones.
+    let (spec, journal, resumed_lines) = match journal_mode {
+        JournalMode::Resume(path) => {
+            let (journal, recovered) =
+                Journal::resume(Path::new(path)).map_err(|e| format!("{path}: {e}"))?;
+            if recovered.torn {
+                eprintln!("checkpoint: ignoring torn final record in {path}");
+            }
+            (recovered.spec, Some(journal), recovered.lines)
+        }
+        JournalMode::Create(path) => {
+            // A journal must hold a spec its own resume accepts.
+            cli_spec.validate()?;
+            let journal = Journal::create(Path::new(path), &cli_spec)?;
+            (cli_spec, Some(journal), Vec::new())
+        }
+        JournalMode::Off => (cli_spec, None, Vec::new()),
+    };
+    let grid = match journal_mode {
+        JournalMode::Resume(_) => spec.to_grid()?,
+        _ => spec.grid_for(scenarios.to_vec()),
+    };
     // --trace turns on full event recording for every cell; otherwise the
     // campaign runs untraced (the fast path the benchmarks measure).
-    let mode = if opts.trace.is_some() {
+    let grid = grid.with_trace(if opts.trace.is_some() {
         TraceMode::Full
     } else {
         TraceMode::Off
-    };
-    let grid = grid_spec(seeds, base_seed, attempts, bits, faults, scenarios)
-        .grid_for(scenarios.to_vec())
-        .with_trace(mode);
-    let jobs = resolve_jobs(jobs);
-    // Streaming kicks in when the user names a spill directory or the
-    // grid outgrows the in-memory cap (spilling via a temp dir then).
-    let streaming =
-        opts.stream_out.is_some() || opts.max_cells_in_memory.is_some_and(|cap| grid.len() > cap);
+    });
+    let jobs = resolve_jobs(jobs.or(spec.jobs));
+    let resumed = resumed_lines.iter().flatten().count();
     if !opts.json {
-        println!(
-            "campaign: {} cells ({} scenarios x {} seeds) on {} workers{}",
-            grid.len(),
-            scenarios.len(),
-            seeds,
-            jobs,
-            if streaming { " (streaming)" } else { "" }
-        );
+        match journal_mode {
+            JournalMode::Create(path) | JournalMode::Resume(path) => println!(
+                "campaign: {} cells ({resumed} checkpointed) on {jobs} workers, checkpoint {path}",
+                grid.len()
+            ),
+            JournalMode::Off => println!(
+                "campaign: {} cells ({} scenarios x {} seeds) on {jobs} workers{}",
+                grid.len(),
+                spec.scenarios.len(),
+                spec.seeds,
+                if opts.stream_out.is_some() {
+                    " (streaming)"
+                } else {
+                    ""
+                }
+            ),
+        }
     }
-    if streaming {
-        return campaign_streamed(opts, &grid, jobs);
+    if let Some(dir) = &opts.stream_out {
+        std::fs::create_dir_all(dir)?;
     }
-    let results = grid.run(jobs)?;
+
+    let run = CampaignRun {
+        journal: journal.map(Mutex::new),
+        spill: opts.stream_out.as_deref().map(Path::new),
+        traced: opts.trace.is_some(),
+        completed: AtomicUsize::new(0),
+        stop_after,
+        cancel: CancelToken::new(),
+    };
+    let templates = grid.scenario_templates();
+    let refs: Vec<&MachineTemplate> = templates.iter().collect();
+    let outcome = grid.run_streamed_resume(
+        jobs,
+        &refs,
+        &run.cancel,
+        &|index| resumed_lines.get(index).is_some_and(Option::is_some),
+        |worker| CampaignSink::new(&run, worker),
+    );
+    let sinks = match (outcome, journal_mode) {
+        (Ok(sinks), _) => sinks,
+        // --stop-after-cells cancels on purpose: the partial run is the
+        // expected outcome, announced on stderr so stdout never carries
+        // an incomplete NDJSON stream.
+        (Err(StreamError::Cancelled), JournalMode::Create(path) | JournalMode::Resume(path))
+            if stop_after.is_some() =>
+        {
+            let newly = run.completed.load(Ordering::SeqCst);
+            eprintln!(
+                "campaign: stopped after {newly} new cells ({}/{} checkpointed) — \
+                 finish with --resume {path}",
+                resumed + newly,
+                grid.len()
+            );
+            return Ok(());
+        }
+        (Err(e), _) => return Err(e.into()),
+    };
+
+    let mut aggregate = CampaignAggregate::default();
+    let mut kept = Vec::new();
+    let mut cell_shards = Vec::new();
+    let mut trace_shards = Vec::new();
+    for sink in sinks {
+        aggregate.merge(&sink.aggregate);
+        kept.extend(sink.kept);
+        if let Some(spill) = sink.spill {
+            let (spilled, cells, traces) = spill.finish()?;
+            aggregate.merge(&spilled);
+            cell_shards.extend(cells);
+            trace_shards.extend(traces);
+        }
+    }
+    kept.sort_unstable_by_key(|cell| cell.index);
+
+    if run.journal.is_some() {
+        print_checkpointed(opts, grid.len(), resumed_lines, kept, resumed)
+    } else if let Some(dir) = &opts.stream_out {
+        print_streamed(
+            opts,
+            &grid,
+            &aggregate,
+            Path::new(dir),
+            cell_shards,
+            trace_shards,
+        )
+    } else {
+        print_in_memory(opts, &aggregate, &kept)
+    }
+}
+
+/// Worker-independent state of one `campaign` run, shared by every
+/// worker's [`CampaignSink`].
+struct CampaignRun<'a> {
+    /// The `--checkpoint`/`--resume` journal.
+    journal: Option<Mutex<Journal>>,
+    /// The `--stream-out` directory shards spill into.
+    spill: Option<&'a Path>,
+    /// Whether cells carry trace events to spill (`--trace`).
+    traced: bool,
+    /// Cells newly completed by this run (resumed cells not included).
+    completed: AtomicUsize,
+    /// `--stop-after-cells`.
+    stop_after: Option<usize>,
+    cancel: CancelToken,
+}
+
+/// One finished cell's output, kept for the grid-order printing at the
+/// end of an in-memory or checkpointed run.
+struct KeptCell {
+    index: usize,
+    out: CampaignCellOut,
+    /// The cell's NDJSON line, newline included.
+    line: String,
+    /// The cell's trace (`--trace`), formatted only when the trace file
+    /// is written: events are far smaller than their NDJSON lines.
+    trace: Option<TraceSink>,
+}
+
+/// Cell and trace line formatter handed to [`CampaignStreamer`].
+type LineFmt = fn(&CellResult, &mut String);
+
+/// The `campaign` consumer: formats each finished cell's line once,
+/// folds it into the worker's [`CampaignAggregate`], appends it to the
+/// journal when checkpointing, and keeps it for the end-of-run printing
+/// — or, under `--stream-out`, hands it to the standard spilling
+/// [`CampaignStreamer`] so peak memory stays O(workers).
+struct CampaignSink<'a> {
+    run: &'a CampaignRun<'a>,
+    aggregate: CampaignAggregate,
+    kept: Vec<KeptCell>,
+    /// The `--stream-out` consumer every cell goes to instead. Options
+    /// parsing rejects checkpointing with `--stream-out`, so a spilled
+    /// cell never needs the journal or `--stop-after-cells`.
+    spill: Option<CampaignStreamer<LineFmt, LineFmt>>,
+}
+
+impl<'a> CampaignSink<'a> {
+    fn new(run: &'a CampaignRun<'a>, worker: usize) -> Self {
+        let spill = run.spill.map(|dir| {
+            CampaignStreamer::new(
+                dir,
+                worker,
+                run.traced,
+                campaign_cell_line as LineFmt,
+                spill_trace_lines as LineFmt,
+            )
+        });
+        Self {
+            run,
+            aggregate: CampaignAggregate::default(),
+            kept: Vec::new(),
+            spill,
+        }
+    }
+}
+
+/// A spilled cell's `--trace` event lines.
+fn spill_trace_lines(result: &CellResult, out: &mut String) {
+    out.push_str(&trace_lines(result.trace.as_ref()));
+}
+
+impl CellConsumer for CampaignSink<'_> {
+    fn consume(
+        &mut self,
+        index: usize,
+        mut result: CellResult,
+    ) -> std::io::Result<Option<TraceSink>> {
+        if let Some(spill) = &mut self.spill {
+            return spill.consume(index, result);
+        }
+        self.aggregate.observe(&result);
+        let mut line = String::new();
+        campaign_cell_line(&result, &mut line);
+        if let Some(journal) = &self.run.journal {
+            journal
+                .lock()
+                .expect("journal poisoned")
+                .append(index, &line)?;
+        }
+        let newly = self.run.completed.fetch_add(1, Ordering::SeqCst) + 1;
+        if self.run.stop_after.is_some_and(|k| newly >= k) {
+            self.run.cancel.cancel();
+        }
+        self.kept.push(KeptCell {
+            index,
+            out: cell_out(&result),
+            line,
+            trace: result.trace.take(),
+        });
+        Ok(None)
+    }
+}
+
+/// End of an in-memory run: the `--trace` file, then the result table
+/// (or the NDJSON records) and the variant report.
+fn print_in_memory(
+    opts: &Options,
+    aggregate: &CampaignAggregate,
+    kept: &[KeptCell],
+) -> Result<(), Box<dyn std::error::Error>> {
     if let Some(path) = &opts.trace {
-        let events = write_trace_ndjson(path, &results)?;
+        let events = write_ndjson(
+            path,
+            kept.iter().map(|cell| trace_lines(cell.trace.as_ref())),
+        )?;
         if !opts.json {
             println!("trace: wrote {events} events to {path}");
         }
     }
     report_peak_rss();
-
-    let cells: Vec<CampaignCellOut> = results.iter().map(cell_out).collect();
-    let variant_rows = variant_rows_from_results(&results);
+    let variant_rows = variant_summary_rows(aggregate);
 
     if opts.json {
         // NDJSON: one record per cell, in grid order — the reference
         // bytes the streaming path's merged cells.ndjson must equal.
-        for cell in &cells {
-            println!("{}", output::to_json_line(cell));
+        let stdout = std::io::stdout();
+        let mut out = stdout.lock();
+        for cell in kept {
+            out.write_all(cell.line.as_bytes())?;
         }
+        out.flush()?;
         print_variant_report(&variant_rows, true);
         return Ok(());
     }
@@ -413,9 +633,10 @@ fn campaign(
     let header = [
         "scenario", "seed", "attempts", "first ok", "avg mins", "hours",
     ];
-    let rows: Vec<[String; 6]> = cells
+    let rows: Vec<[String; 6]> = kept
         .iter()
-        .map(|c| {
+        .map(|cell| {
+            let c = &cell.out;
             [
                 c.scenario.clone(),
                 format!("{:#x}", c.seed),
@@ -456,6 +677,128 @@ fn campaign(
     }
     print_variant_report(&variant_rows, false);
     Ok(())
+}
+
+/// End of a `--stream-out` run: merges the shards in grid order into
+/// `DIR/cells.ndjson` (and the `--trace` path), then prints the
+/// streamed summary (or replays the merged NDJSON).
+fn print_streamed(
+    opts: &Options,
+    grid: &CampaignGrid,
+    aggregate: &CampaignAggregate,
+    dir: &Path,
+    cell_shards: Vec<ShardInfo>,
+    trace_shards: Vec<ShardInfo>,
+) -> Result<(), Box<dyn std::error::Error>> {
+    let merged_path = dir.join("cells.ndjson");
+    let mut out = BufWriter::new(File::create(&merged_path)?);
+    merge_shards(cell_shards, grid.len(), &mut out)?;
+    drop(out);
+    if let Some(path) = &opts.trace {
+        let mut out = BufWriter::new(File::create(path)?);
+        merge_shards(trace_shards, grid.len(), &mut out)?;
+    }
+
+    let variant_rows = variant_summary_rows(aggregate);
+    if opts.json {
+        // Replay the merged file so stdout carries the same NDJSON
+        // bytes the in-memory path prints.
+        let mut file = File::open(&merged_path)?;
+        let stdout = std::io::stdout();
+        std::io::copy(&mut file, &mut stdout.lock())?;
+        print_variant_report(&variant_rows, true);
+    } else {
+        let mins = |nanos: f64| nanos / 60e9;
+        println!(
+            "streamed: {} cells, {} succeeded, {} attempts ({} aborted)",
+            aggregate.cells, aggregate.succeeded, aggregate.attempts, aggregate.aborted_attempts
+        );
+        println!(
+            "catalog bits: mean {:.1}, p50 <= {}, p95 <= {}",
+            aggregate.catalog_bits.mean(),
+            aggregate.catalog_bits.quantile(0.5),
+            aggregate.catalog_bits.quantile(0.95)
+        );
+        println!(
+            "attempt mins: mean {:.2}, p50 <= {:.2}, p95 <= {:.2}",
+            mins(aggregate.attempt_nanos.mean()),
+            mins(aggregate.attempt_nanos.quantile(0.5) as f64),
+            mins(aggregate.attempt_nanos.quantile(0.95) as f64)
+        );
+        if aggregate.success_nanos.count() > 0 {
+            println!(
+                "time to success (hours): mean {:.2}, p95 <= {:.2}",
+                aggregate.success_nanos.mean() / 3600e9,
+                aggregate.success_nanos.quantile(0.95) as f64 / 3600e9
+            );
+        }
+        if let Some(path) = &opts.trace {
+            for stage in Stage::ALL {
+                let sketch = &aggregate.stage_nanos[stage.index()];
+                if sketch.count() > 0 {
+                    println!(
+                        "stage {}: mean {:.3} ms/cell, p95 <= {:.3} ms",
+                        stage.name(),
+                        sketch.mean() / 1e6,
+                        sketch.quantile(0.95) as f64 / 1e6
+                    );
+                }
+            }
+            println!("trace: merged stream to {path}");
+        }
+        print_variant_report(&variant_rows, false);
+        println!("results: {}", merged_path.display());
+    }
+    report_peak_rss();
+    Ok(())
+}
+
+/// End of a checkpointed run: the full grid's NDJSON records — resumed
+/// ones from the journal, new ones from this run — or a one-line
+/// completion note.
+fn print_checkpointed(
+    opts: &Options,
+    cells: usize,
+    mut lines: Vec<Option<String>>,
+    kept: Vec<KeptCell>,
+    resumed: usize,
+) -> Result<(), Box<dyn std::error::Error>> {
+    lines.resize(cells, None);
+    for cell in kept {
+        lines[cell.index] = Some(cell.line);
+    }
+    if opts.json {
+        let stdout = std::io::stdout();
+        let mut out = stdout.lock();
+        for line in &lines {
+            out.write_all(line.as_deref().expect("all cells complete").as_bytes())?;
+        }
+        out.flush()?;
+    } else {
+        println!(
+            "campaign: complete — {cells} cells ({} run now, {resumed} resumed)",
+            cells - resumed
+        );
+    }
+    report_peak_rss();
+    Ok(())
+}
+
+/// Writes NDJSON chunks (each zero or more complete lines) to `path` in
+/// the order given; returns the number of lines written.
+fn write_ndjson<S: AsRef<str>>(
+    path: &str,
+    chunks: impl IntoIterator<Item = S>,
+) -> std::io::Result<usize> {
+    let mut w = BufWriter::new(File::create(path)?);
+    let mut lines = 0usize;
+    for chunk in chunks {
+        let chunk = chunk.as_ref();
+        lines += chunk.lines().count();
+        w.write_all(chunk.as_bytes())?;
+    }
+    w.flush()?;
+    Ok(lines)
 }
 
 /// The [`JobSpec`] describing a CLI campaign/trace grid. Both the CLI
@@ -512,19 +855,19 @@ fn cell_out(r: &CellResult) -> CampaignCellOut {
     }
 }
 
-/// Appends one cell's NDJSON record line — the exact bytes the
-/// in-memory `--json` path prints for the cell, so shard merges (and
-/// the campaign server, which injects this very function) stay
-/// byte-identical to it.
+/// Appends one cell's NDJSON record line — the exact bytes `campaign
+/// --json` prints for the cell, so the campaign server, which injects
+/// this very function, stays byte-identical to it.
 pub fn campaign_cell_line(result: &CellResult, out: &mut String) {
     out.push_str(&output::to_json_line(&cell_out(result)));
     out.push('\n');
 }
 
-/// Appends one cell's trace-event lines — the exact bytes
-/// [`write_trace_ndjson`] writes for the cell.
-fn fmt_trace_lines(result: &CellResult, out: &mut String) {
-    let Some(sink) = &result.trace else { return };
+/// One cell's trace-event lines — the bytes the `--trace` file holds
+/// for the cell (none for an untraced cell).
+fn trace_lines(sink: Option<&TraceSink>) -> String {
+    let mut out = String::new();
+    let Some(sink) = sink else { return out };
     for event in sink.events() {
         let record = TraceEventOut {
             cell: sink.cell(),
@@ -533,49 +876,30 @@ fn fmt_trace_lines(result: &CellResult, out: &mut String) {
         out.push_str(&output::to_json_line(&record));
         out.push('\n');
     }
+    out
 }
 
 /// Per-variant success-rate rows for grids spanning several attack
 /// variants, in [`AttackVariant::ALL`] order; variants absent from the
 /// grid are omitted.
-fn variant_summary_rows(
-    cells: &[u64; AttackVariant::COUNT],
-    succeeded: &[u64; AttackVariant::COUNT],
-    attempts: &[u64; AttackVariant::COUNT],
-) -> Vec<VariantSummaryOut> {
+fn variant_summary_rows(aggregate: &CampaignAggregate) -> Vec<VariantSummaryOut> {
     AttackVariant::ALL
         .iter()
         .copied()
-        .filter(|v| cells[v.index()] > 0)
+        .filter(|v| aggregate.variant_cells[v.index()] > 0)
         .map(|v| {
             let i = v.index();
+            let cells = aggregate.variant_cells[i];
+            let succeeded = aggregate.variant_succeeded[i];
             VariantSummaryOut {
                 variant: v.label().to_string(),
-                cells: cells[i],
-                succeeded: succeeded[i],
-                attempts: attempts[i],
-                success_rate: succeeded[i] as f64 / cells[i] as f64,
+                cells,
+                succeeded,
+                attempts: aggregate.variant_attempts[i],
+                success_rate: succeeded as f64 / cells as f64,
             }
         })
         .collect()
-}
-
-/// Same rows built from in-memory results, counting exactly what
-/// [`CampaignAggregate::observe`] folds on the streamed path — both
-/// paths therefore emit identical report bytes.
-fn variant_rows_from_results(results: &[CellResult]) -> Vec<VariantSummaryOut> {
-    let mut cells = [0u64; AttackVariant::COUNT];
-    let mut succeeded = [0u64; AttackVariant::COUNT];
-    let mut attempts = [0u64; AttackVariant::COUNT];
-    for r in results {
-        let i = r.variant.index();
-        cells[i] += 1;
-        if r.stats.first_success().is_some() {
-            succeeded[i] += 1;
-        }
-        attempts[i] += r.stats.attempts.len() as u64;
-    }
-    variant_summary_rows(&cells, &succeeded, &attempts)
 }
 
 /// Prints the cross-variant comparison report. Single-variant grids
@@ -613,365 +937,6 @@ fn report_peak_rss() {
     }
 }
 
-/// The bounded-memory campaign path: per-worker consumers fold every
-/// finished cell into a [`CampaignAggregate`] and spill its NDJSON
-/// record (and trace lines) to shards, which merge in grid order into
-/// `DIR/cells.ndjson` (and the `--trace` path). Peak memory is
-/// O(workers); the merged bytes equal the in-memory path's for any
-/// `--jobs`.
-fn campaign_streamed(
-    opts: &Options,
-    grid: &CampaignGrid,
-    jobs: std::num::NonZeroUsize,
-) -> Result<(), Box<dyn std::error::Error>> {
-    let trace_on = opts.trace.is_some();
-    let (dir, temp) = match &opts.stream_out {
-        Some(dir) => (PathBuf::from(dir), false),
-        None => (
-            std::env::temp_dir().join(format!("hh-stream-{}", std::process::id())),
-            true,
-        ),
-    };
-    std::fs::create_dir_all(&dir)?;
-    let fmt_cell = campaign_cell_line as fn(&CellResult, &mut String);
-    let fmt_trace = fmt_trace_lines as fn(&CellResult, &mut String);
-
-    let consumers = grid.run_streamed(jobs, |worker| {
-        CampaignStreamer::new(&dir, worker, trace_on, fmt_cell, fmt_trace)
-    })?;
-
-    let mut aggregate = CampaignAggregate::default();
-    let mut cell_shards = Vec::new();
-    let mut trace_shards = Vec::new();
-    for consumer in consumers {
-        let (agg, cells, traces) = consumer.finish()?;
-        aggregate.merge(&agg);
-        cell_shards.extend(cells);
-        trace_shards.extend(traces);
-    }
-
-    let merged_path = dir.join("cells.ndjson");
-    let mut out = BufWriter::new(File::create(&merged_path)?);
-    merge_shards(cell_shards, grid.len(), &mut out)?;
-    drop(out);
-    if let Some(path) = &opts.trace {
-        let mut out = BufWriter::new(File::create(path)?);
-        merge_shards(trace_shards, grid.len(), &mut out)?;
-    }
-
-    let variant_rows = variant_summary_rows(
-        &aggregate.variant_cells,
-        &aggregate.variant_succeeded,
-        &aggregate.variant_attempts,
-    );
-    if opts.json {
-        // Replay the merged file so stdout carries the same NDJSON
-        // bytes the in-memory path prints.
-        let mut file = File::open(&merged_path)?;
-        let stdout = std::io::stdout();
-        std::io::copy(&mut file, &mut stdout.lock())?;
-        print_variant_report(&variant_rows, true);
-    } else {
-        let mins = |nanos: f64| nanos / 60e9;
-        println!(
-            "streamed: {} cells, {} succeeded, {} attempts ({} aborted)",
-            aggregate.cells, aggregate.succeeded, aggregate.attempts, aggregate.aborted_attempts
-        );
-        println!(
-            "catalog bits: mean {:.1}, p50 <= {}, p95 <= {}",
-            aggregate.catalog_bits.mean(),
-            aggregate.catalog_bits.quantile(0.5),
-            aggregate.catalog_bits.quantile(0.95)
-        );
-        println!(
-            "attempt mins: mean {:.2}, p50 <= {:.2}, p95 <= {:.2}",
-            mins(aggregate.attempt_nanos.mean()),
-            mins(aggregate.attempt_nanos.quantile(0.5) as f64),
-            mins(aggregate.attempt_nanos.quantile(0.95) as f64)
-        );
-        if aggregate.success_nanos.count() > 0 {
-            println!(
-                "time to success (hours): mean {:.2}, p95 <= {:.2}",
-                aggregate.success_nanos.mean() / 3600e9,
-                aggregate.success_nanos.quantile(0.95) as f64 / 3600e9
-            );
-        }
-        if trace_on {
-            for stage in Stage::ALL {
-                let sketch = &aggregate.stage_nanos[stage.index()];
-                if sketch.count() > 0 {
-                    println!(
-                        "stage {}: mean {:.3} ms/cell, p95 <= {:.3} ms",
-                        stage.name(),
-                        sketch.mean() / 1e6,
-                        sketch.quantile(0.95) as f64 / 1e6
-                    );
-                }
-            }
-            if let Some(path) = &opts.trace {
-                println!("trace: merged stream to {path}");
-            }
-        }
-        print_variant_report(&variant_rows, false);
-        if !temp {
-            println!("results: {}", merged_path.display());
-        }
-    }
-    report_peak_rss();
-    if temp {
-        std::fs::remove_dir_all(&dir)?;
-    }
-    Ok(())
-}
-
-/// First line of a campaign checkpoint file. The rest is the job-spec
-/// JSON header followed by one `index\tcell-json` record per completed
-/// cell, appended (and fsynced every `--checkpoint-every` records) as
-/// cells finish — a kill at any point leaves a loadable prefix.
-const CKPT_MAGIC: &str = "hyperhammer-ckpt-v1";
-
-/// The checkpoint file plus its flush cadence, shared by every worker's
-/// [`CheckpointSink`] under one lock.
-struct CkFile {
-    file: File,
-    since_sync: usize,
-    every: usize,
-}
-
-impl CkFile {
-    fn append(&mut self, record: &str) -> std::io::Result<()> {
-        self.file.write_all(record.as_bytes())?;
-        self.since_sync += 1;
-        if self.since_sync >= self.every {
-            self.file.sync_data()?;
-            self.since_sync = 0;
-        }
-        Ok(())
-    }
-}
-
-/// State shared by the per-worker checkpoint consumers.
-struct CkShared {
-    file: Mutex<CkFile>,
-    /// Cells newly completed by this run (resumed cells not included).
-    completed: AtomicUsize,
-    stop_after: Option<usize>,
-    cancel: CancelToken,
-}
-
-/// Per-worker consumer for checkpointed runs: appends each finished
-/// cell's record to the shared checkpoint file and keeps the NDJSON
-/// line for the final grid-order merge.
-struct CheckpointSink<'a> {
-    ck: &'a CkShared,
-    lines: Vec<(usize, String)>,
-}
-
-impl CellConsumer for CheckpointSink<'_> {
-    fn consume(
-        &mut self,
-        index: usize,
-        result: CellResult,
-    ) -> std::io::Result<Option<hh_trace::TraceSink>> {
-        let mut line = String::new();
-        campaign_cell_line(&result, &mut line);
-        let record = format!("{index}\t{}", line);
-        self.ck
-            .file
-            .lock()
-            .expect("checkpoint poisoned")
-            .append(&record)?;
-        self.lines.push((index, line));
-        let newly = self.ck.completed.fetch_add(1, Ordering::SeqCst) + 1;
-        if self.ck.stop_after.is_some_and(|k| newly >= k) {
-            self.ck.cancel.cancel();
-        }
-        Ok(None)
-    }
-}
-
-/// A loaded checkpoint: the job spec it was started with and, per grid
-/// index, the NDJSON line of every already-completed cell.
-type Checkpoint = (JobSpec, Vec<Option<String>>);
-
-/// Loads a checkpoint file written by `campaign --checkpoint`.
-fn load_checkpoint(path: &str) -> Result<Checkpoint, Box<dyn std::error::Error>> {
-    let text = std::fs::read_to_string(path)?;
-    let lines: Vec<&str> = text.split('\n').collect();
-    if lines.first().copied() != Some(CKPT_MAGIC) {
-        return Err(format!("{path} is not a {CKPT_MAGIC} checkpoint").into());
-    }
-    let spec_line = lines
-        .get(1)
-        .filter(|l| !l.is_empty())
-        .ok_or_else(|| format!("{path} has no job-spec header"))?;
-    let spec = hh_server::json::job_spec_from_json(spec_line)?;
-    spec.validate()?;
-    let cells = spec.cell_count();
-    let mut done: Vec<Option<String>> = vec![None; cells];
-    let records = &lines[2..];
-    for (pos, raw) in records.iter().enumerate() {
-        if raw.is_empty() {
-            continue;
-        }
-        let parsed = raw.split_once('\t').and_then(|(index, json)| {
-            index
-                .parse::<usize>()
-                .ok()
-                .filter(|i| *i < cells)
-                .map(|i| (i, json))
-        });
-        match parsed {
-            Some((index, json)) => done[index] = Some(format!("{json}\n")),
-            // A kill mid-append can tear the final record; everything
-            // before it is intact, so drop it and re-run that cell.
-            None if pos + 1 == records.len() => {
-                eprintln!("checkpoint: ignoring torn final record in {path}");
-            }
-            None => return Err(format!("corrupt checkpoint record at {path}:{}", pos + 3).into()),
-        }
-    }
-    Ok((spec, done))
-}
-
-/// The checkpointed campaign path: every finished cell is appended to
-/// the checkpoint file as it completes, `--resume` skips cells the file
-/// already holds, and the merged grid-order output is byte-identical to
-/// an uninterrupted `--json` run for any `--jobs` value.
-fn campaign_checkpointed(
-    opts: &Options,
-    cli_spec: JobSpec,
-    jobs: Option<usize>,
-    checkpoint: Option<&str>,
-    every: usize,
-    resume: Option<&str>,
-    stop_after_cells: Option<usize>,
-) -> Result<(), Box<dyn std::error::Error>> {
-    // On resume the grid is rebuilt from the spec recorded in the file;
-    // grid flags from the current command line are ignored so the
-    // resumed cells can never diverge from the checkpointed ones.
-    let (path, spec, mut lines) = match resume {
-        Some(path) => {
-            let (spec, lines) = load_checkpoint(path)?;
-            (path.to_string(), spec, lines)
-        }
-        None => {
-            let path = checkpoint.expect("dispatch checked").to_string();
-            let mut file = File::create(&path)?;
-            writeln!(file, "{CKPT_MAGIC}")?;
-            writeln!(file, "{}", hh_server::json::job_spec_to_json(&cli_spec))?;
-            file.sync_data()?;
-            let cells = cli_spec.cell_count();
-            (path, cli_spec, vec![None; cells])
-        }
-    };
-    let grid = spec.to_grid()?;
-    let resumed = lines.iter().filter(|l| l.is_some()).count();
-    let jobs = resolve_jobs(jobs.or(spec.jobs));
-    if !opts.json {
-        println!(
-            "campaign: {} cells ({resumed} checkpointed) on {} workers, checkpoint {path}",
-            grid.len(),
-            jobs
-        );
-    }
-
-    let shared = CkShared {
-        file: Mutex::new(CkFile {
-            file: OpenOptions::new().append(true).open(&path)?,
-            since_sync: 0,
-            every,
-        }),
-        completed: AtomicUsize::new(0),
-        stop_after: stop_after_cells,
-        cancel: CancelToken::new(),
-    };
-    let templates = grid.scenario_templates();
-    let refs: Vec<&MachineTemplate> = templates.iter().collect();
-    let done_mask: Vec<bool> = lines.iter().map(Option::is_some).collect();
-    let outcome = grid.run_streamed_resume(
-        jobs,
-        &refs,
-        &shared.cancel,
-        &|index| done_mask[index],
-        |_| CheckpointSink {
-            ck: &shared,
-            lines: Vec::new(),
-        },
-    );
-    let sync = || -> std::io::Result<()> { self_sync(&shared) };
-    match outcome {
-        Ok(consumers) => {
-            sync()?;
-            for sink in consumers {
-                for (index, line) in sink.lines {
-                    lines[index] = Some(line);
-                }
-            }
-            if opts.json {
-                let stdout = std::io::stdout();
-                let mut out = stdout.lock();
-                for line in &lines {
-                    out.write_all(line.as_deref().expect("all cells complete").as_bytes())?;
-                }
-                out.flush()?;
-            } else {
-                println!(
-                    "campaign: complete — {} cells ({} run now, {resumed} resumed)",
-                    grid.len(),
-                    grid.len() - resumed
-                );
-            }
-            report_peak_rss();
-            Ok(())
-        }
-        // --stop-after-cells cancels on purpose: the partial run is the
-        // expected outcome, announced on stderr so stdout never carries
-        // an incomplete NDJSON stream.
-        Err(StreamError::Cancelled) if stop_after_cells.is_some() => {
-            sync()?;
-            let newly = shared.completed.load(Ordering::SeqCst);
-            eprintln!(
-                "campaign: stopped after {newly} new cells ({}/{} checkpointed) — \
-                 finish with --resume {path}",
-                resumed + newly,
-                grid.len()
-            );
-            Ok(())
-        }
-        Err(e) => Err(e.into()),
-    }
-}
-
-/// Final fsync of the checkpoint file, regardless of flush cadence.
-fn self_sync(shared: &CkShared) -> std::io::Result<()> {
-    let mut ck = shared.file.lock().expect("checkpoint poisoned");
-    ck.since_sync = 0;
-    ck.file.sync_data()
-}
-
-/// Writes the merged NDJSON event stream for a campaign run.
-///
-/// Cells are visited in grid order and each cell's events are already in
-/// simulated chronological order, so the output is byte-identical for
-/// every `--jobs` value. Returns the number of event lines written.
-fn write_trace_ndjson(
-    path: &str,
-    results: &[CellResult],
-) -> Result<usize, Box<dyn std::error::Error>> {
-    let mut w = BufWriter::new(File::create(path)?);
-    let mut lines = 0usize;
-    let mut buf = String::new();
-    for result in results {
-        buf.clear();
-        fmt_trace_lines(result, &mut buf);
-        lines += buf.lines().count();
-        w.write_all(buf.as_bytes())?;
-    }
-    w.flush()?;
-    Ok(lines)
-}
-
 #[allow(clippy::too_many_arguments)]
 fn trace(
     opts: &Options,
@@ -1005,7 +970,12 @@ fn trace(
     }
     let results = grid.run(jobs)?;
     if let Some(path) = &opts.trace {
-        let events = write_trace_ndjson(path, &results)?;
+        let events = write_ndjson(
+            path,
+            results
+                .iter()
+                .map(|result| trace_lines(result.trace.as_ref())),
+        )?;
         if !opts.json {
             println!("trace: wrote {events} events to {path}");
         }
@@ -1147,7 +1117,8 @@ fn client(
             if opts.json {
                 println!("{{\"id\": {id}}}");
             } else {
-                println!("submitted job {id} ({} cells)", spec.cell_count());
+                let cells = spec.cell_count().expect("parsing validated the spec");
+                println!("submitted job {id} ({cells} cells)");
             }
         }
         ClientAction::Status { id } => println!("{}", api.status(*id)?),

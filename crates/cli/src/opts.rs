@@ -34,9 +34,10 @@ commands:
               a priority queue and warm per-scenario machine templates
               (--addr HOST:PORT; port 0 picks an ephemeral port and the
               chosen address is printed on stdout); with --spool DIR the
-              queue survives restarts: specs and completed cell lines
-              are persisted there and unfinished jobs resume on startup
-              under their original ids, skipping already-completed cells
+              queue survives restarts: each job keeps a journal there in
+              the --checkpoint format, and unfinished jobs resume on
+              startup under their original ids, skipping
+              already-completed cells
   client      talk to a campaign server at --addr:
                 client submit [campaign grid flags] [--priority N]
                 client status --id N      client stream --id N
@@ -66,10 +67,6 @@ options:
                                    byte-identical to the in-memory
                                    --json output, with peak RSS O(jobs)
                                    instead of O(cells)
-  --max-cells-in-memory N          (campaign) auto-switch to streaming
-                                   (spilling via a temporary directory)
-                                   when the grid has more than N cells
-                                   [default: unlimited]
   --json                           machine-readable output
   --quarantine                     enable the §6 virtio-mem countermeasure
   --faults R                       (campaign/trace) hostile-host fault
@@ -84,12 +81,13 @@ options:
                                    the attempt aborts      [default: 4]
   --backoff MS                     simulated backoff per retry, in
                                    milliseconds            [default: 10]
-  --checkpoint PATH                (campaign) append every finished
-                                   cell's record to a checkpoint file so
-                                   an interrupted run can be resumed;
+  --checkpoint PATH                (campaign) journal every finished
+                                   cell so an interrupted run can be
+                                   resumed: a hyperhammer-ckpt-v1 magic
+                                   line, the job-spec JSON, then one
+                                   fsynced `index<TAB>record` line per
+                                   cell (the server spool's format too);
                                    incompatible with --trace/--stream-out
-  --checkpoint-every N             (campaign) flush the checkpoint file
-                                   every N completed cells  [default: 1]
   --resume PATH                    (campaign) resume the run recorded in
                                    a checkpoint file: the grid comes
                                    from the checkpoint (grid flags are
@@ -125,9 +123,6 @@ pub struct Options {
     /// Stream campaign output through NDJSON shards in this directory
     /// (campaign), merging into `cells.ndjson` at the end.
     pub stream_out: Option<String>,
-    /// Auto-switch the campaign to streaming when the grid exceeds this
-    /// many cells (campaign).
-    pub max_cells_in_memory: Option<usize>,
 }
 
 /// Fault-injection and recovery knobs shared by `campaign` and `trace`.
@@ -214,10 +209,8 @@ pub enum Command {
         jobs: Option<usize>,
         /// Fault-injection and recovery knobs.
         faults: FaultOpts,
-        /// Append finished-cell records to this checkpoint file.
+        /// Journal finished cells to this checkpoint file.
         checkpoint: Option<String>,
-        /// Flush the checkpoint file every this many completed cells.
-        checkpoint_every: usize,
         /// Resume the run recorded in this checkpoint file.
         resume: Option<String>,
         /// Cancel the run after this many newly completed cells.
@@ -365,7 +358,6 @@ impl PartialEq for Command {
                     jobs: aj,
                     faults: af,
                     checkpoint: ack,
-                    checkpoint_every: ace,
                     resume: ar,
                     stop_after_cells: asa,
                 },
@@ -378,7 +370,6 @@ impl PartialEq for Command {
                     jobs: bj,
                     faults: bf,
                     checkpoint: bck,
-                    checkpoint_every: bce,
                     resume: br,
                     stop_after_cells: bsa,
                 },
@@ -395,7 +386,6 @@ impl PartialEq for Command {
                     && aj == bj
                     && af == bf
                     && ack == bck
-                    && ace == bce
                     && ar == br
                     && asa == bsa
             }
@@ -525,9 +515,7 @@ impl Options {
         let mut fault_opts = FaultOpts::default();
         let mut trace: Option<String> = None;
         let mut stream_out: Option<String> = None;
-        let mut max_cells_in_memory: Option<usize> = None;
         let mut checkpoint: Option<String> = None;
-        let mut checkpoint_every: usize = 1;
         let mut resume: Option<String> = None;
         let mut stop_after_cells: Option<usize> = None;
         let mut spool: Option<String> = None;
@@ -628,22 +616,7 @@ impl Options {
                 }
                 "--trace" => trace = Some(value("--trace")?),
                 "--stream-out" => stream_out = Some(value("--stream-out")?),
-                "--max-cells-in-memory" => {
-                    max_cells_in_memory = Some(
-                        value("--max-cells-in-memory")?
-                            .parse()
-                            .map_err(|e| format!("bad --max-cells-in-memory: {e}"))?,
-                    )
-                }
                 "--checkpoint" => checkpoint = Some(value("--checkpoint")?),
-                "--checkpoint-every" => {
-                    checkpoint_every = value("--checkpoint-every")?
-                        .parse()
-                        .map_err(|e| format!("bad --checkpoint-every: {e}"))?;
-                    if checkpoint_every == 0 {
-                        return Err("--checkpoint-every must be at least 1".to_string());
-                    }
-                }
                 "--resume" => resume = Some(value("--resume")?),
                 "--stop-after-cells" => {
                     let parsed: usize = value("--stop-after-cells")?
@@ -745,7 +718,6 @@ impl Options {
                         jobs,
                         faults: fault_opts,
                         checkpoint,
-                        checkpoint_every,
                         resume,
                         stop_after_cells,
                     }
@@ -819,7 +791,6 @@ impl Options {
             json,
             trace,
             stream_out,
-            max_cells_in_memory,
         })
     }
 }
@@ -900,7 +871,6 @@ mod tests {
                 jobs,
                 faults,
                 checkpoint,
-                checkpoint_every,
                 resume,
                 stop_after_cells,
             } => {
@@ -914,7 +884,6 @@ mod tests {
                 assert_eq!(*faults, FaultOpts::default());
                 assert!(!faults.fault_config().is_active());
                 assert_eq!(*checkpoint, None);
-                assert_eq!(*checkpoint_every, 1);
                 assert_eq!(*resume, None);
                 assert_eq!(*stop_after_cells, None);
             }
@@ -1018,20 +987,15 @@ mod tests {
             "micro",
             "--stream-out",
             "/tmp/shards",
-            "--max-cells-in-memory",
-            "256",
         ])
         .unwrap();
         assert_eq!(o.stream_out.as_deref(), Some("/tmp/shards"));
-        assert_eq!(o.max_cells_in_memory, Some(256));
-        // Defaults: in-memory, no cap.
+        // Default: in-memory.
         let o = parse(&["campaign"]).unwrap();
         assert_eq!(o.stream_out, None);
-        assert_eq!(o.max_cells_in_memory, None);
-        // Both flags need values; the cap must be a number.
+        // The flag needs a value; the removed auto-switch is unknown.
         assert!(parse(&["campaign", "--stream-out"]).is_err());
-        assert!(parse(&["campaign", "--max-cells-in-memory"]).is_err());
-        assert!(parse(&["campaign", "--max-cells-in-memory", "many"]).is_err());
+        assert!(parse(&["campaign", "--max-cells-in-memory", "256"]).is_err());
     }
 
     #[test]
@@ -1084,8 +1048,6 @@ mod tests {
             "tiny",
             "--checkpoint",
             "ck.bin",
-            "--checkpoint-every",
-            "3",
             "--stop-after-cells",
             "2",
         ])
@@ -1093,13 +1055,11 @@ mod tests {
         match &o.command {
             Command::Campaign {
                 checkpoint,
-                checkpoint_every,
                 resume,
                 stop_after_cells,
                 ..
             } => {
                 assert_eq!(checkpoint.as_deref(), Some("ck.bin"));
-                assert_eq!(*checkpoint_every, 3);
                 assert_eq!(*resume, None);
                 assert_eq!(*stop_after_cells, Some(2));
             }
@@ -1127,7 +1087,8 @@ mod tests {
         assert!(parse(&["campaign", "--checkpoint", "a", "--stream-out", "/tmp/x"]).is_err());
         assert!(parse(&["campaign", "--stop-after-cells", "2"]).is_err());
         assert!(parse(&["campaign", "--checkpoint", "a", "--stop-after-cells", "0"]).is_err());
-        assert!(parse(&["campaign", "--checkpoint", "a", "--checkpoint-every", "0"]).is_err());
+        // Every record is synced; the removed cadence flag is unknown.
+        assert!(parse(&["campaign", "--checkpoint", "a", "--checkpoint-every", "3"]).is_err());
         assert!(parse(&["campaign", "--checkpoint"]).is_err());
         assert!(parse(&["campaign", "--resume"]).is_err());
     }

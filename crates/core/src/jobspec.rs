@@ -16,6 +16,15 @@ use crate::machine::Scenario;
 use crate::parallel::CampaignGrid;
 use crate::steering::RetryPolicy;
 
+/// The largest grid a job spec may describe. Job specs arrive from
+/// outside (`POST /jobs`, checkpoint and spool headers) and every
+/// consumer allocates per-cell state up front, so an unbounded
+/// `seeds` would overflow or exhaust memory before a single cell runs.
+/// 4 Mi cells is three orders of magnitude above the largest grid CI
+/// or the docs use (4096) and above the 10⁶-cell production sweeps the
+/// streaming path targets.
+pub const MAX_CELLS: usize = 1 << 22;
+
 /// Everything that defines one campaign run: the scenario list, the
 /// seed grid, the attack budget, fault injection, and (server-side)
 /// scheduling hints. Plain data; field defaults mirror the CLI's.
@@ -67,7 +76,7 @@ impl Default for JobSpec {
 impl JobSpec {
     /// Validates the spec without building anything: every scenario
     /// name must be registered, and the numeric fields must describe a
-    /// non-empty, runnable grid.
+    /// non-empty, runnable grid of at most [`MAX_CELLS`] cells.
     ///
     /// # Errors
     ///
@@ -83,6 +92,13 @@ impl JobSpec {
         if self.seeds == 0 {
             return Err("seeds must be at least 1".to_string());
         }
+        if self.cell_count().is_none_or(|cells| cells > MAX_CELLS) {
+            return Err(format!(
+                "grid too large: {} scenarios x {} seeds exceeds {MAX_CELLS} cells",
+                self.scenarios.len(),
+                self.seeds
+            ));
+        }
         if self.attempts == 0 {
             return Err("attempts must be at least 1".to_string());
         }
@@ -95,9 +111,11 @@ impl JobSpec {
         Ok(())
     }
 
-    /// Total cell count of the grid this spec describes.
-    pub fn cell_count(&self) -> usize {
-        self.scenarios.len() * self.seeds
+    /// Total cell count of the grid this spec describes, or `None` when
+    /// it overflows `usize` (a [validated](JobSpec::validate) spec
+    /// always has a count, at most [`MAX_CELLS`]).
+    pub fn cell_count(&self) -> Option<usize> {
+        self.scenarios.len().checked_mul(self.seeds)
     }
 
     /// The host-side fault plan this spec describes.
@@ -188,12 +206,30 @@ mod tests {
     }
 
     #[test]
+    fn oversized_grids_are_rejected_without_overflow() {
+        let mut spec = tiny_spec();
+        spec.seeds = usize::MAX;
+        assert_eq!(spec.cell_count(), Some(usize::MAX));
+        spec.scenarios = vec!["tiny".to_string(), "micro".to_string()];
+        assert_eq!(spec.cell_count(), None, "2 x usize::MAX overflows");
+        let err = spec.validate().unwrap_err();
+        assert!(err.contains("grid too large"), "got: {err}");
+
+        // The bound itself is inclusive.
+        spec.scenarios = vec!["tiny".to_string()];
+        spec.seeds = MAX_CELLS;
+        assert!(spec.validate().is_ok());
+        spec.seeds = MAX_CELLS + 1;
+        assert!(spec.validate().is_err());
+    }
+
+    #[test]
     fn spec_grid_matches_hand_built_grid() {
         // The spec-built grid must equal what the CLI used to assemble
         // by hand — same cells, same results.
         let spec = tiny_spec();
         let grid = spec.to_grid().unwrap();
-        assert_eq!(grid.len(), spec.cell_count());
+        assert_eq!(Some(grid.len()), spec.cell_count());
 
         let params = DriverParams {
             bits_per_attempt: 4,

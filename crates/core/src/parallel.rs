@@ -27,16 +27,21 @@
 //! guarantee is untouched because *which worker* runs a cell never
 //! influences *what the cell computes*.
 //!
-//! [`parallel_map`] also clamps its effective worker count to the
-//! machine's available parallelism: requesting more workers than CPUs
-//! can only add contention (on a 1-CPU host it made 4-worker runs ~24 %
-//! *slower* than serial), and because results are scheduling-independent
-//! the clamp is unobservable in the output.
+//! The engine runs exactly the worker count it is given (never more
+//! than one per item). The one CPU-clamp policy lives in
+//! [`resolve_jobs`], which the CLI, the campaign server and the bench
+//! binaries call: requesting more workers than CPUs can only add
+//! contention (on a 1-CPU host it made 4-worker runs ~24 % *slower*
+//! than serial), and because results are scheduling-independent the
+//! clamp is unobservable in the output. Tests pass explicit counts, so
+//! cross-thread scheduling is exercised on any machine.
 //!
-//! The engine is two layers: [`parallel_map`], a general deterministic
-//! fan-out over `std::thread::scope` (also used by the benchmark
+//! The engine is two layers: [`parallel_reduce_indexed`], the one
+//! deterministic worker loop over `std::thread::scope` (with
+//! [`parallel_map`] a thin scatter on top, used by the benchmark
 //! harness's ablation sweeps), and [`CampaignGrid`], the campaign-shaped
-//! API on top.
+//! API whose one engine entry is
+//! [`CampaignGrid::run_streamed_resume`].
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -56,56 +61,59 @@ use crate::profile::FlipCatalog;
 use crate::steering::{with_retries, RetryPolicy};
 use crate::template::MachineTemplate;
 
-/// Resolves a `--jobs`-style request: `None` means "use all available
-/// parallelism", and a request is clamped to at least one worker.
+/// Resolves a `--jobs`-style request into the worker count a run uses:
+/// `None` means "all available parallelism", and a request is clamped
+/// to `1..=cpus`. This is the engine's only CPU clamp — the engine
+/// itself runs exactly the count it is handed.
 pub fn resolve_jobs(requested: Option<usize>) -> NonZeroUsize {
+    let cpus = std::thread::available_parallelism().unwrap_or(NonZeroUsize::MIN);
     match requested {
-        Some(n) => NonZeroUsize::new(n.max(1)).expect("max(1) is non-zero"),
-        None => std::thread::available_parallelism()
-            .unwrap_or_else(|_| NonZeroUsize::new(1).expect("1 is non-zero")),
+        Some(n) => NonZeroUsize::new(n.min(cpus.get())).unwrap_or(NonZeroUsize::MIN),
+        None => cpus,
     }
 }
 
-/// Applies `f` to every item on up to `jobs` scoped workers, returning
-/// results in input order.
+/// Applies `f` to every item on `jobs` scoped workers (at most one per
+/// item), returning results in input order — a scatter over
+/// [`parallel_reduce_indexed`], whose work-stealing loop runs the items.
 ///
-/// The effective worker count is clamped to the machine's available
-/// parallelism (and to the item count): oversubscribing a small machine
-/// only adds scheduler contention and per-thread allocator overhead,
-/// and because outputs are scheduling-independent the clamp cannot
-/// change results. Use [`parallel_map_exact`] to force a width (the
-/// determinism tests do, so cross-thread scheduling is exercised even
-/// on single-CPU machines).
-///
-/// Work distribution is chunked work-stealing — see the
-/// [module docs](self). `f` must itself be deterministic per item for
-/// the full determinism guarantee to hold; the campaign engine arranges
-/// that by deriving every cell's RNG from its own seed.
+/// `f` must itself be deterministic per item for the full determinism
+/// guarantee to hold; the campaign engine arranges that by deriving
+/// every cell's RNG from its own seed.
 ///
 /// # Panics
 ///
-/// Propagates panics from `f` once all workers have stopped.
+/// Propagates the grid-order-first panic from `f` once all workers have
+/// stopped.
 pub fn parallel_map<T, R, F>(items: Vec<T>, jobs: NonZeroUsize, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
     F: Fn(usize, T) -> R + Sync,
 {
-    let cpus = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
-    run_on_workers(items, jobs.get().min(cpus), f)
-}
-
-/// [`parallel_map`] without the available-parallelism clamp: exactly
-/// `jobs` workers (still at most one per item). Results are identical
-/// to [`parallel_map`]'s — this variant exists so tests can prove that
-/// on *any* machine, not to make production runs faster.
-pub fn parallel_map_exact<T, R, F>(items: Vec<T>, jobs: NonZeroUsize, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-{
-    run_on_workers(items, jobs.get(), f)
+    let n = items.len();
+    let tasks: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
+    let parts = parallel_reduce_indexed(
+        n,
+        jobs,
+        |_| Vec::new(),
+        |out: &mut Vec<(usize, R)>, i| {
+            let item = tasks[i]
+                .lock()
+                .expect("task slot poisoned")
+                .take()
+                .expect("each task index is claimed exactly once");
+            out.push((i, f(i, item)));
+        },
+    );
+    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
+    for (i, r) in parts.into_iter().flatten() {
+        slots[i] = Some(r);
+    }
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("every task ran to completion"))
+        .collect()
 }
 
 /// Chunk granularity: a few chunks per worker so early finishers have
@@ -194,84 +202,15 @@ impl FirstPanic {
     }
 }
 
-fn run_on_workers<T, R, F>(items: Vec<T>, workers: usize, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-{
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let workers = workers.min(n);
-    if workers == 1 {
-        // Serial fast path: no threads, same order, same results, and
-        // a panicking closure propagates on its own.
-        return items
-            .into_iter()
-            .enumerate()
-            .map(|(i, t)| f(i, t))
-            .collect();
-    }
-
-    let tasks: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let queues = ChunkQueues::deal(n, workers);
-    let first_panic = FirstPanic::default();
-
-    std::thread::scope(|scope| {
-        for me in 0..workers {
-            let queues = &queues;
-            let tasks = &tasks;
-            let results = &results;
-            let f = &f;
-            let first_panic = &first_panic;
-            scope.spawn(move || {
-                while let Some(range) = queues.claim(me) {
-                    for i in range {
-                        let item = tasks[i]
-                            .lock()
-                            .expect("task slot poisoned")
-                            .take()
-                            .expect("each task index is claimed exactly once");
-                        // Catch per item so a panicking closure surfaces
-                        // with its own payload (not a poisoned-mutex or
-                        // generic scope panic) after every worker stops.
-                        match catch_unwind(AssertUnwindSafe(|| f(i, item))) {
-                            Ok(out) => {
-                                *results[i].lock().expect("result slot poisoned") = Some(out);
-                            }
-                            Err(payload) => first_panic.record(i, payload),
-                        }
-                    }
-                }
-            });
-        }
-    });
-    first_panic.resume_if_any();
-
-    results
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("result slot poisoned")
-                .expect("every task ran to completion")
-        })
-        .collect()
-}
-
-/// Streaming variant of [`parallel_map`]: instead of parking every
-/// result in an O(items) slot vector, each worker owns an accumulator
-/// from `new_acc(worker)` and folds every index it claims into it via
-/// `fold(acc, index)` — so a run holds O(workers) state, never
-/// O(items). Returns the accumulators in worker order.
+/// The engine's one worker loop: folds every index in `0..n` into a
+/// per-worker accumulator from `new_acc(worker)` via `fold(acc, index)`
+/// on exactly `min(jobs, n)` workers, so a run holds O(workers) state,
+/// never O(items). Returns the accumulators in worker order.
 ///
 /// Indices arrive in ascending order *within* a contiguous chunk, but
 /// chunks interleave under stealing, so deterministic aggregation
 /// requires folds that commute across chunks (sums, histograms,
-/// per-index spill files). The effective worker count is clamped to the
-/// machine's available parallelism, like [`parallel_map`].
+/// per-index slots or spill files).
 ///
 /// # Panics
 ///
@@ -283,38 +222,13 @@ where
     G: Fn(usize) -> A + Sync,
     F: Fn(&mut A, usize) + Sync,
 {
-    let cpus = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
-    run_reduce_on_workers(n, jobs.get().min(cpus), new_acc, fold)
-}
-
-/// [`parallel_reduce_indexed`] without the available-parallelism clamp:
-/// exactly `jobs` workers (still at most one per index), so tests can
-/// exercise cross-thread stealing on any machine.
-pub fn parallel_reduce_indexed_exact<A, G, F>(
-    n: usize,
-    jobs: NonZeroUsize,
-    new_acc: G,
-    fold: F,
-) -> Vec<A>
-where
-    A: Send,
-    G: Fn(usize) -> A + Sync,
-    F: Fn(&mut A, usize) + Sync,
-{
-    run_reduce_on_workers(n, jobs.get(), new_acc, fold)
-}
-
-fn run_reduce_on_workers<A, G, F>(n: usize, workers: usize, new_acc: G, fold: F) -> Vec<A>
-where
-    A: Send,
-    G: Fn(usize) -> A + Sync,
-    F: Fn(&mut A, usize) + Sync,
-{
     if n == 0 {
         return Vec::new();
     }
-    let workers = workers.min(n);
+    let workers = jobs.get().min(n);
     if workers == 1 {
+        // Serial fast path: no threads, same order, same results, and
+        // a panicking fold propagates on its own.
         let mut acc = new_acc(0);
         for i in 0..n {
             fold(&mut acc, i);
@@ -337,6 +251,9 @@ where
                 let mut acc = new_acc(me);
                 while let Some(range) = queues.claim(me) {
                     for i in range {
+                        // Catch per index so a panicking fold surfaces
+                        // with its own payload (not a poisoned-mutex or
+                        // generic scope panic) after every worker stops.
                         if let Err(payload) = catch_unwind(AssertUnwindSafe(|| fold(&mut acc, i))) {
                             first_panic.record(i, payload);
                         }
@@ -504,7 +421,7 @@ impl CampaignGrid {
     }
 
     /// The grid's scenarios, in row order — one [`MachineTemplate`] per
-    /// entry is what [`CampaignGrid::run_streamed_with`] expects.
+    /// entry is what [`CampaignGrid::run_streamed_resume`] expects.
     pub fn scenarios(&self) -> &[Scenario] {
         &self.scenarios
     }
@@ -544,8 +461,8 @@ impl CampaignGrid {
     }
 
     /// One [`MachineTemplate`] per scenario, in scenario order; cell
-    /// `i` uses entry `i / seeds`. Callers that resume a checkpointed
-    /// run build these once and hand them to
+    /// `i` uses entry `i / seeds`. Callers without a template cache of
+    /// their own build these once and hand them to
     /// [`CampaignGrid::run_streamed_resume`].
     pub fn scenario_templates(&self) -> Vec<MachineTemplate> {
         self.scenarios
@@ -554,32 +471,13 @@ impl CampaignGrid {
             .collect()
     }
 
-    /// Runs one cell exactly as the serial path would: boot, profile,
-    /// catalogue, then campaign to first success or the attempt budget.
-    ///
-    /// # Errors
-    ///
-    /// Propagates hypervisor errors.
-    pub fn run_cell(&self, cell: &CampaignCell) -> Result<CellResult, HvError> {
-        self.run_cell_with(cell, &MachineTemplate::for_scenario(&cell.scenario), 0)
-    }
-
-    /// [`CampaignGrid::run_cell`] against a prebuilt template. The
-    /// `events_hint` pre-sizes the cell's trace arena (capacity only —
-    /// a wrong hint can never change recorded output, so passing a
-    /// scheduling-dependent high-water mark is safe).
-    fn run_cell_with(
-        &self,
-        cell: &CampaignCell,
-        template: &MachineTemplate,
-        events_hint: usize,
-    ) -> Result<CellResult, HvError> {
-        self.run_cell_recycled(cell, template, events_hint, None)
-    }
-
-    /// [`CampaignGrid::run_cell_with`] reusing a spent sink's event
-    /// arena (see [`TraceSink::recycle`]); `None` allocates fresh.
-    fn run_cell_recycled(
+    /// Runs one cell: boot from its template, profile, catalogue, then
+    /// campaign to first success or the attempt budget. The
+    /// `events_hint` pre-sizes the cell's trace arena and `recycled`
+    /// reuses a spent sink's event arena (see [`TraceSink::recycle`]) —
+    /// both capacity only, so a scheduling-dependent hint can never
+    /// change recorded output.
+    fn run_cell(
         &self,
         cell: &CampaignCell,
         template: &MachineTemplate,
@@ -628,169 +526,71 @@ impl CampaignGrid {
         })
     }
 
-    /// Runs the whole grid on `jobs` workers; results are in grid order
-    /// and identical for every `jobs` value.
+    /// Runs the whole grid on `jobs` workers and collects the results
+    /// in grid order — the in-memory reference every other path is
+    /// compared against. Results are identical for every `jobs` value.
     ///
     /// # Errors
     ///
     /// Returns the first (grid-order) hypervisor error.
     pub fn run(&self, jobs: NonZeroUsize) -> Result<Vec<CellResult>, HvError> {
-        self.run_with_progress(jobs, |_| {})
-    }
-
-    /// [`CampaignGrid::run`] with a completion callback per cell. The
-    /// callback observes cells as workers finish them (i.e. in
-    /// scheduling order) and must therefore not influence results — use
-    /// it for liveness reporting only.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first (grid-order) hypervisor error.
-    pub fn run_with_progress(
-        &self,
-        jobs: NonZeroUsize,
-        progress: impl Fn(&CellResult) + Sync,
-    ) -> Result<Vec<CellResult>, HvError> {
-        let templates = self.scenario_templates();
-        let seeds_per_scenario = self.seeds.len();
-        // High-water mark of per-cell event counts, used to pre-size
-        // later cells' trace arenas. Scheduling-dependent, but hints
-        // only set capacity, so determinism is untouched.
-        let events_hint = AtomicUsize::new(0);
-        let cells = self.cells();
-        let results = parallel_map(cells, jobs, |_, cell| {
-            let template = &templates[cell.index / seeds_per_scenario];
-            let hint = events_hint.load(Ordering::Relaxed);
-            let result = self.run_cell_with(&cell, template, hint);
-            if let Ok(r) = &result {
-                if let Some(sink) = &r.trace {
-                    events_hint.fetch_max(sink.events().len(), Ordering::Relaxed);
-                }
-                progress(r);
+        /// Keeps every result, trace sink included.
+        struct Collect(Vec<(usize, CellResult)>);
+        impl CellConsumer for Collect {
+            fn consume(
+                &mut self,
+                index: usize,
+                result: CellResult,
+            ) -> std::io::Result<Option<TraceSink>> {
+                self.0.push((index, result));
+                Ok(None)
             }
-            result
-        });
-        results.into_iter().collect()
-    }
-
-    /// Runs the grid serially on the calling thread — the reference the
-    /// parallel path is tested against. Shares the per-scenario
-    /// template machinery with the parallel path, so "serial vs
-    /// parallel" compares scheduling only.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first hypervisor error.
-    pub fn run_serial(&self) -> Result<Vec<CellResult>, HvError> {
+        }
         let templates = self.scenario_templates();
-        let seeds_per_scenario = self.seeds.len();
-        self.cells()
-            .iter()
-            .map(|cell| self.run_cell_with(cell, &templates[cell.index / seeds_per_scenario], 0))
-            .collect()
+        let refs: Vec<&MachineTemplate> = templates.iter().collect();
+        let consumers = self
+            .run_streamed_resume(jobs, &refs, &CancelToken::new(), &|_| false, |_| {
+                Collect(Vec::new())
+            })
+            .map_err(|e| match e {
+                StreamError::Hv(e) => e,
+                other => unreachable!("a collecting run neither spills nor cancels: {other}"),
+            })?;
+        let mut cells: Vec<(usize, CellResult)> = consumers.into_iter().flat_map(|c| c.0).collect();
+        cells.sort_unstable_by_key(|(index, _)| *index);
+        Ok(cells.into_iter().map(|(_, result)| result).collect())
     }
 
-    /// Runs the grid with O(workers) memory: each worker folds every
+    /// The campaign engine's one entry point: runs the grid on exactly
+    /// `jobs` workers with O(workers) memory. Each worker folds every
     /// finished [`CellResult`] into its own [`CellConsumer`] (built by
     /// `new_consumer(worker)`) instead of parking it in a slot vector,
-    /// and cells are materialized one per worker at a time. Spent trace
+    /// cells are materialized one per worker at a time, and spent trace
     /// sinks handed back by the consumer are recycled, so one event
     /// arena serves all of a worker's cells.
     ///
-    /// Consumers observe cells in their worker's scheduling order;
-    /// deterministic output therefore needs order-insensitive folds
-    /// (mergeable sketches, per-index spill shards) — what
-    /// [`streamref`](crate::streamref) provides. The effective worker
-    /// count is clamped like [`parallel_map`]'s; the returned consumers
-    /// are in worker order.
-    ///
-    /// # Errors
-    ///
-    /// Like [`CampaignGrid::run`], every cell still runs and the
-    /// grid-order-first error (hypervisor or consumer I/O) is returned.
-    pub fn run_streamed<C, G>(
-        &self,
-        jobs: NonZeroUsize,
-        new_consumer: G,
-    ) -> Result<Vec<C>, StreamError>
-    where
-        C: CellConsumer + Send,
-        G: Fn(usize) -> C + Sync,
-    {
-        let cpus = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
-        let jobs = NonZeroUsize::new(jobs.get().min(cpus)).expect("min of non-zeroes");
-        self.run_streamed_exact(jobs, new_consumer)
-    }
-
-    /// [`CampaignGrid::run_streamed`] without the available-parallelism
-    /// clamp — exactly `jobs` workers, so the streaming equivalence
-    /// tests exercise cross-thread shard interleaving on any machine.
-    ///
-    /// # Errors
-    ///
-    /// See [`CampaignGrid::run_streamed`].
-    pub fn run_streamed_exact<C, G>(
-        &self,
-        jobs: NonZeroUsize,
-        new_consumer: G,
-    ) -> Result<Vec<C>, StreamError>
-    where
-        C: CellConsumer + Send,
-        G: Fn(usize) -> C + Sync,
-    {
-        let templates = self.scenario_templates();
-        let refs: Vec<&MachineTemplate> = templates.iter().collect();
-        self.run_streamed_inner(jobs, &refs, None, None, new_consumer)
-    }
-
-    /// [`CampaignGrid::run_streamed`] against caller-owned per-scenario
-    /// templates (one per [`CampaignGrid::scenarios`] entry, in order)
-    /// and a [`CancelToken`]. This is the campaign server's entry
-    /// point: warm templates are shared across jobs, and cancelling the
-    /// token skips every not-yet-started cell.
-    ///
-    /// The worker count is clamped like [`CampaignGrid::run_streamed`].
-    /// Results for the cells that do run are bit-identical to the
-    /// template-less paths — templates only hoist scenario-invariant
-    /// work.
-    ///
-    /// # Errors
-    ///
-    /// Like [`CampaignGrid::run_streamed`], plus
-    /// [`StreamError::Cancelled`] when cancellation skipped at least
-    /// one cell (unless an earlier grid-order cell failed harder).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `templates.len()` differs from the scenario count.
-    pub fn run_streamed_with<C, G>(
-        &self,
-        jobs: NonZeroUsize,
-        templates: &[&MachineTemplate],
-        cancel: &CancelToken,
-        new_consumer: G,
-    ) -> Result<Vec<C>, StreamError>
-    where
-        C: CellConsumer + Send,
-        G: Fn(usize) -> C + Sync,
-    {
-        let cpus = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
-        let jobs = NonZeroUsize::new(jobs.get().min(cpus)).expect("min of non-zeroes");
-        self.run_streamed_inner(jobs, templates, Some(cancel), None, new_consumer)
-    }
-
-    /// [`CampaignGrid::run_streamed_with`] plus a completed-cell
-    /// predicate — the checkpoint/resume entry point. Cells for which
+    /// Cells run against caller-owned per-scenario `templates` (one per
+    /// [`CampaignGrid::scenarios`] entry, in order — the campaign
+    /// server shares warm ones across jobs). Cells for which
     /// `done(index)` returns `true` are skipped without booting a host
-    /// or touching a consumer; the caller merges their previously
-    /// recorded results back in grid order. Because cells are
+    /// or touching a consumer (checkpoint resume), and cancelling the
+    /// token skips every not-yet-started cell. Because cells are
     /// independent (seed-split RNG streams, per-cell hosts), the cells
     /// that do run produce bytes identical to an uninterrupted run for
     /// any worker count.
     ///
+    /// Consumers observe cells in their worker's scheduling order;
+    /// deterministic output therefore needs order-insensitive folds
+    /// (mergeable sketches, per-index slots or spill shards) — what
+    /// [`streamref`](crate::streamref) provides. The returned consumers
+    /// are in worker order.
+    ///
     /// # Errors
     ///
-    /// See [`CampaignGrid::run_streamed_with`].
+    /// Every cell still runs and the grid-order-first error (hypervisor
+    /// or consumer I/O) is returned, or [`StreamError::Cancelled`] when
+    /// cancellation skipped at least one cell (unless an earlier
+    /// grid-order cell failed harder).
     ///
     /// # Panics
     ///
@@ -807,23 +607,6 @@ impl CampaignGrid {
         C: CellConsumer + Send,
         G: Fn(usize) -> C + Sync,
     {
-        let cpus = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
-        let jobs = NonZeroUsize::new(jobs.get().min(cpus)).expect("min of non-zeroes");
-        self.run_streamed_inner(jobs, templates, Some(cancel), Some(done), new_consumer)
-    }
-
-    fn run_streamed_inner<C, G>(
-        &self,
-        jobs: NonZeroUsize,
-        templates: &[&MachineTemplate],
-        cancel: Option<&CancelToken>,
-        done: Option<&(dyn Fn(usize) -> bool + Sync)>,
-        new_consumer: G,
-    ) -> Result<Vec<C>, StreamError>
-    where
-        C: CellConsumer + Send,
-        G: Fn(usize) -> C + Sync,
-    {
         assert_eq!(
             templates.len(),
             self.scenarios.len(),
@@ -834,8 +617,8 @@ impl CampaignGrid {
             consumer: C,
             recycled: Option<TraceSink>,
             // Lowest-index failure this worker saw; the grid-order
-            // minimum across workers is the run's error, matching the
-            // in-memory path's "first grid-order error" contract.
+            // minimum across workers is the run's error — the error a
+            // serial run would have hit first.
             first_error: Option<(usize, StreamError)>,
         }
 
@@ -853,7 +636,7 @@ impl CampaignGrid {
 
         let seeds_per_scenario = self.seeds.len();
         let events_hint = AtomicUsize::new(0);
-        let states = parallel_reduce_indexed_exact(
+        let states = parallel_reduce_indexed(
             self.len(),
             jobs,
             |worker| WorkerState {
@@ -865,20 +648,20 @@ impl CampaignGrid {
                 // Checked per cell, before any host is booted: an
                 // in-flight cell always completes (leak-free), a
                 // not-yet-started cell never starts.
-                if cancel.is_some_and(CancelToken::is_cancelled) {
+                if cancel.is_cancelled() {
                     state.record_error(index, StreamError::Cancelled);
                     return;
                 }
                 // Resume support: cells already completed by a prior
                 // (checkpointed) run are skipped before any work.
-                if done.is_some_and(|f| f(index)) {
+                if done(index) {
                     return;
                 }
                 let cell = self.cell_at(index);
                 let template = templates[index / seeds_per_scenario];
                 let hint = events_hint.load(Ordering::Relaxed);
                 let outcome = self
-                    .run_cell_recycled(&cell, template, hint, state.recycled.take())
+                    .run_cell(&cell, template, hint, state.recycled.take())
                     .map_err(StreamError::Hv)
                     .and_then(|result| {
                         if let Some(sink) = &result.trace {
@@ -891,9 +674,9 @@ impl CampaignGrid {
                     });
                 match outcome {
                     Ok(recycled) => state.recycled = recycled,
-                    // Keep running the remaining cells (the in-memory
-                    // path does too) but remember only the lowest-index
-                    // failure.
+                    // Keep running the remaining cells, so the reported
+                    // error is a function of the grid, not of
+                    // scheduling; remember only the lowest-index one.
                     Err(e) => state.record_error(index, e),
                 }
             },
@@ -920,7 +703,7 @@ impl CampaignGrid {
     }
 }
 
-/// Per-worker sink for [`CampaignGrid::run_streamed`]: receives every
+/// Per-worker sink for [`CampaignGrid::run_streamed_resume`]: receives every
 /// finished [`CellResult`] of its worker, in that worker's scheduling
 /// order, and may hand the cell's spent [`TraceSink`] back so the
 /// engine can recycle its arena for the worker's next cell.
@@ -988,14 +771,14 @@ mod tests {
     fn parallel_map_preserves_order_and_runs_every_item() {
         let items: Vec<u64> = (0..37).collect();
         let jobs = NonZeroUsize::new(4).unwrap();
-        // The exact variant forces 4 real workers even on a 1-CPU
+        // The engine runs exactly 4 real workers even on a 1-CPU
         // machine, so cross-thread stealing is actually exercised.
-        let out = parallel_map_exact(items.clone(), jobs, |i, x| {
+        let out = parallel_map(items.clone(), jobs, |i, x| {
             assert_eq!(i as u64, x);
             x * 2
         });
         assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>());
-        let clamped = parallel_map(items.clone(), jobs, |_, x| x * 2);
+        let clamped = parallel_map(items.clone(), resolve_jobs(Some(4)), |_, x| x * 2);
         assert_eq!(clamped, out, "CPU clamp must not change results");
     }
 
@@ -1004,7 +787,7 @@ mod tests {
         let jobs = NonZeroUsize::new(8).unwrap();
         let empty: Vec<u8> = parallel_map(Vec::<u8>::new(), jobs, |_, x| x);
         assert!(empty.is_empty());
-        let two = parallel_map_exact(vec![1, 2], jobs, |_, x| x + 1);
+        let two = parallel_map(vec![1, 2], jobs, |_, x| x + 1);
         assert_eq!(two, vec![2, 3]);
     }
 
@@ -1015,7 +798,7 @@ mod tests {
         // initial share behind it; stealing lets the other workers
         // drain it, and the output must stay in input order either way.
         let items: Vec<u64> = (0..64).collect();
-        let out = parallel_map_exact(items, NonZeroUsize::new(4).unwrap(), |i, x| {
+        let out = parallel_map(items, NonZeroUsize::new(4).unwrap(), |i, x| {
             let spins = if i == 0 { 2_000_000 } else { 2_000 };
             let mut acc = x;
             for _ in 0..spins {
@@ -1065,7 +848,7 @@ mod tests {
     #[test]
     fn worker_count_does_not_change_results() {
         let grid = tiny_grid(2);
-        let serial = grid.run_serial().unwrap();
+        let serial = grid.run(NonZeroUsize::MIN).unwrap();
         let one = grid.run(NonZeroUsize::new(1).unwrap()).unwrap();
         let four = grid.run(NonZeroUsize::new(4).unwrap()).unwrap();
         assert_eq!(serial, one);
@@ -1078,9 +861,12 @@ mod tests {
 
     #[test]
     fn resolve_jobs_clamps_and_defaults() {
+        let cpus = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
         assert_eq!(resolve_jobs(Some(0)).get(), 1);
-        assert_eq!(resolve_jobs(Some(6)).get(), 6);
-        assert!(resolve_jobs(None).get() >= 1);
+        assert_eq!(resolve_jobs(Some(1)).get(), 1);
+        assert_eq!(resolve_jobs(Some(6)).get(), 6.min(cpus));
+        assert_eq!(resolve_jobs(Some(usize::MAX)).get(), cpus);
+        assert_eq!(resolve_jobs(None).get(), cpus);
     }
 
     /// Runs `f`, catches its panic, and returns the `&str`/`String`
@@ -1101,7 +887,7 @@ mod tests {
         for jobs in [1usize, 4] {
             let jobs = NonZeroUsize::new(jobs).unwrap();
             let msg = panic_message(move || {
-                parallel_map_exact((0..16u64).collect(), jobs, |i, x| {
+                parallel_map((0..16u64).collect(), jobs, |i, x| {
                     assert!(i != 11, "cell 11 exploded");
                     x
                 });
@@ -1109,11 +895,9 @@ mod tests {
             assert!(msg.contains("cell 11 exploded"), "got: {msg}");
         }
         let msg = panic_message(|| {
-            parallel_map(
-                (0..4u64).collect(),
-                NonZeroUsize::new(2).unwrap(),
-                |_, _| panic!("clamped path panic"),
-            );
+            parallel_map((0..4u64).collect(), resolve_jobs(Some(2)), |_, _| {
+                panic!("clamped path panic")
+            });
         });
         assert!(msg.contains("clamped path panic"), "got: {msg}");
     }
@@ -1124,7 +908,7 @@ mod tests {
         // index — what a serial run would hit first — even though a
         // later-index worker may panic earlier in wall-clock time.
         let msg = panic_message(|| {
-            parallel_map_exact(
+            parallel_map(
                 (0..64usize).collect(),
                 NonZeroUsize::new(4).unwrap(),
                 |i, _| {
@@ -1140,7 +924,7 @@ mod tests {
     #[test]
     fn reduce_path_propagates_original_panic_payload() {
         let msg = panic_message(|| {
-            parallel_reduce_indexed_exact(
+            parallel_reduce_indexed(
                 32,
                 NonZeroUsize::new(4).unwrap(),
                 |_| 0u64,
@@ -1157,20 +941,16 @@ mod tests {
     fn reduce_partitions_every_index_exactly_once() {
         for jobs in [1usize, 2, 4, 8] {
             let jobs = NonZeroUsize::new(jobs).unwrap();
-            let accs =
-                parallel_reduce_indexed_exact(37, jobs, |_| Vec::new(), |acc, i| acc.push(i));
+            let accs = parallel_reduce_indexed(37, jobs, |_| Vec::new(), |acc, i| acc.push(i));
             assert_eq!(accs.len(), jobs.get().min(37));
             let mut all: Vec<usize> = accs.into_iter().flatten().collect();
             all.sort_unstable();
             assert_eq!(all, (0..37).collect::<Vec<_>>());
         }
-        assert!(parallel_reduce_indexed_exact(
-            0,
-            NonZeroUsize::new(4).unwrap(),
-            |_| 0u8,
-            |_, _| {}
-        )
-        .is_empty());
+        assert!(
+            parallel_reduce_indexed(0, NonZeroUsize::new(4).unwrap(), |_| 0u8, |_, _| {})
+                .is_empty()
+        );
     }
 
     struct Collect(Vec<(usize, CellResult)>);
@@ -1189,7 +969,7 @@ mod tests {
     #[test]
     fn shared_templates_and_idle_token_match_plain_streamed_run() {
         let grid = tiny_grid(3);
-        let reference = grid.run_serial().unwrap();
+        let reference = grid.run(NonZeroUsize::MIN).unwrap();
         // Caller-owned templates, as the campaign server shares them
         // across jobs; an uncancelled token must be unobservable.
         let templates: Vec<MachineTemplate> = grid
@@ -1200,9 +980,13 @@ mod tests {
         let refs: Vec<&MachineTemplate> = templates.iter().collect();
         let token = CancelToken::new();
         let consumers = grid
-            .run_streamed_with(NonZeroUsize::new(2).unwrap(), &refs, &token, |_| {
-                Collect(Vec::new())
-            })
+            .run_streamed_resume(
+                NonZeroUsize::new(2).unwrap(),
+                &refs,
+                &token,
+                &|_| false,
+                |_| Collect(Vec::new()),
+            )
             .unwrap();
         let mut streamed: Vec<(usize, CellResult)> =
             consumers.into_iter().flat_map(|c| c.0).collect();
@@ -1228,9 +1012,13 @@ mod tests {
         // Cancelled before the run starts: nothing runs at all.
         let token = CancelToken::new();
         token.cancel();
-        let Err(err) = grid.run_streamed_with(NonZeroUsize::new(2).unwrap(), &refs, &token, |_| {
-            Collect(Vec::new())
-        }) else {
+        let Err(err) = grid.run_streamed_resume(
+            NonZeroUsize::new(2).unwrap(),
+            &refs,
+            &token,
+            &|_| false,
+            |_| Collect(Vec::new()),
+        ) else {
             panic!("a pre-cancelled run must not succeed");
         };
         assert!(matches!(err, StreamError::Cancelled), "got: {err:?}");
@@ -1255,12 +1043,16 @@ mod tests {
         }
         let token = CancelToken::new();
         let consumed = std::sync::Arc::new(Mutex::new(Vec::new()));
-        let Err(err) = grid.run_streamed_with(NonZeroUsize::new(1).unwrap(), &refs, &token, |_| {
-            CancelAfterFirst {
+        let Err(err) = grid.run_streamed_resume(
+            NonZeroUsize::new(1).unwrap(),
+            &refs,
+            &token,
+            &|_| false,
+            |_| CancelAfterFirst {
                 token: token.clone(),
                 consumed: consumed.clone(),
-            }
-        }) else {
+            },
+        ) else {
             panic!("a mid-run cancellation must surface");
         };
         assert!(matches!(err, StreamError::Cancelled), "got: {err:?}");
@@ -1271,7 +1063,7 @@ mod tests {
     #[test]
     fn resume_skips_done_cells_and_matches_a_full_run() {
         let grid = tiny_grid(4);
-        let reference = grid.run_serial().unwrap();
+        let reference = grid.run(NonZeroUsize::MIN).unwrap();
         let templates: Vec<MachineTemplate> = grid
             .scenarios()
             .iter()
@@ -1307,10 +1099,18 @@ mod tests {
     #[test]
     fn streamed_run_matches_in_memory_results() {
         let grid = tiny_grid(3);
-        let reference = grid.run_serial().unwrap();
+        let reference = grid.run(NonZeroUsize::MIN).unwrap();
+        let templates = grid.scenario_templates();
+        let refs: Vec<&MachineTemplate> = templates.iter().collect();
         for jobs in [1usize, 2, 8] {
             let consumers = grid
-                .run_streamed_exact(NonZeroUsize::new(jobs).unwrap(), |_| Collect(Vec::new()))
+                .run_streamed_resume(
+                    NonZeroUsize::new(jobs).unwrap(),
+                    &refs,
+                    &CancelToken::new(),
+                    &|_| false,
+                    |_| Collect(Vec::new()),
+                )
                 .unwrap();
             let mut streamed: Vec<(usize, CellResult)> =
                 consumers.into_iter().flat_map(|c| c.0).collect();

@@ -10,7 +10,7 @@
 //!
 //! * [`JobManager`] is the engine — submit/status/cancel/stream over an
 //!   in-process job table, one runner thread draining a priority queue
-//!   into [`CampaignGrid::run_streamed_with`]. Benches drive it
+//!   into [`CampaignGrid::run_streamed_resume`]. Benches drive it
 //!   directly to compare warm-server submissions against cold starts.
 //! * [`CampaignServer`] wraps a manager with the HTTP API:
 //!   `POST /jobs`, `GET /jobs/{id}`, `GET /jobs/{id}/stream` (chunked
@@ -31,18 +31,31 @@
 //! (every host teardown still runs, so the buddy allocator's
 //! `free_pages` invariant holds) and not-yet-started cells never boot a
 //! host.
+//!
+//! ## Spool
+//!
+//! With a spool directory every job keeps one [`journal`] file,
+//! `job-<id>.journal` — the same crash-safe format as the CLI's
+//! `campaign --checkpoint` file: the spec is synced before the job is
+//! visible, each cell line is synced before streamers see it, and the
+//! file is removed once the job goes terminal. The file is open only
+//! while its job runs, so a queued job holds no descriptor. A restart
+//! re-enqueues every journal it finds with the completed cells
+//! pre-filled.
+//!
+//! [`CampaignGrid::run_streamed_resume`]: hyperhammer::parallel::CampaignGrid::run_streamed_resume
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
 pub mod client;
 pub mod http;
+pub mod journal;
 pub mod json;
 
 use std::collections::{BinaryHeap, HashMap};
-use std::io::{self, BufReader, Write};
+use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -50,11 +63,12 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use hh_trace::{Counter, Metrics};
-use hyperhammer::parallel::{CellConsumer, StreamError};
+use hyperhammer::parallel::{resolve_jobs, CellConsumer, StreamError};
 use hyperhammer::streamref::CampaignAggregate;
 use hyperhammer::{CancelToken, CellResult, JobSpec, MachineTemplate};
 
 use http::{error_response, json_escape, ChunkedWriter, Method, ParseError, Request, Response};
+use journal::Journal;
 
 /// Per-cell NDJSON line formatter, injected by the CLI so the server
 /// cannot drift from `campaign --json` output.
@@ -160,63 +174,56 @@ struct JobState {
     aggregate: CampaignAggregate,
 }
 
-/// Where one job persists itself when the manager runs with a spool
-/// directory: the spec as JSON (written at submit) and one
-/// `index\tndjson-line` record per completed cell (appended and fsynced
-/// as cells finish). Both are deleted once the job goes terminal, so
-/// after a crash the spool holds exactly the unfinished jobs.
-#[derive(Debug)]
-struct JobSpool {
-    spec_path: PathBuf,
-    lines_path: PathBuf,
-}
-
-impl JobSpool {
-    fn for_job(dir: &Path, id: u64) -> Self {
-        Self {
-            spec_path: dir.join(format!("job-{id}.json")),
-            lines_path: dir.join(format!("job-{id}.ndjson")),
-        }
-    }
-
-    fn append_line(&self, index: usize, line: &str) -> io::Result<()> {
-        let mut file = std::fs::OpenOptions::new()
-            .append(true)
-            .create(true)
-            .open(&self.lines_path)?;
-        // One write per record: a kill can tear at most the final line,
-        // which the restart scan drops (that cell simply re-runs).
-        file.write_all(format!("{index}\t{line}").as_bytes())?;
-        file.sync_data()
-    }
-
-    fn remove(&self) {
-        let _ = std::fs::remove_file(&self.spec_path);
-        let _ = std::fs::remove_file(&self.lines_path);
-    }
-}
-
 #[derive(Debug)]
 struct Job {
     spec: JobSpec,
     cancel: CancelToken,
     state: Mutex<JobState>,
     wake: Condvar,
-    spool: Option<JobSpool>,
+    /// The job's spool journal file, when the manager has a spool
+    /// directory; deleted once the job goes terminal.
+    journal_path: Option<PathBuf>,
+    /// The journal, open for appending only while the job runs: a
+    /// queued job holds no descriptor, so queue length is not bounded
+    /// by the process's file limit.
+    journal: Mutex<Option<Journal>>,
 }
 
 impl Job {
-    fn set_status(&self, status: JobStatus) {
-        let terminal = status.is_terminal();
-        {
-            let mut state = self.state.lock().expect("job state poisoned");
-            state.status = status;
-            self.wake.notify_all();
+    /// A queued job whose already-completed cells are `lines`.
+    fn new(spec: JobSpec, lines: Vec<Option<String>>, journal_path: Option<PathBuf>) -> Self {
+        Self {
+            spec,
+            cancel: CancelToken::new(),
+            state: Mutex::new(JobState {
+                status: JobStatus::Queued,
+                completed: lines.iter().filter(|l| l.is_some()).count(),
+                lines,
+                start_order: None,
+                aggregate: CampaignAggregate::default(),
+            }),
+            wake: Condvar::new(),
+            journal_path,
+            journal: Mutex::new(None),
         }
-        if terminal {
-            if let Some(spool) = &self.spool {
-                spool.remove();
-            }
+    }
+
+    fn set_status(&self, status: JobStatus) {
+        if status.is_terminal() {
+            self.remove_journal();
+        }
+        let mut state = self.state.lock().expect("job state poisoned");
+        state.status = status;
+        self.wake.notify_all();
+    }
+
+    /// Closes and deletes the spool journal of a job going terminal —
+    /// before anyone can observe the terminal status — so after a crash
+    /// the spool holds exactly the unfinished jobs.
+    fn remove_journal(&self) {
+        self.journal.lock().expect("journal poisoned").take();
+        if let Some(path) = &self.journal_path {
+            let _ = std::fs::remove_file(path);
         }
     }
 }
@@ -300,8 +307,8 @@ impl CellConsumer for LineSink {
         (self.fmt_cell)(&result, &mut line);
         // Persist before publishing: a line a streamer saw must survive
         // a crash, the other way round merely re-runs a cell.
-        if let Some(spool) = &self.job.spool {
-            spool.append_line(index, &line)?;
+        if let Some(journal) = self.job.journal.lock().expect("journal poisoned").as_mut() {
+            journal.append(index, &line)?;
         }
         let mut state = self.job.state.lock().expect("job state poisoned");
         state.aggregate.observe(&result);
@@ -376,45 +383,41 @@ impl JobManager {
     /// manager is shutting down.
     pub fn submit(&self, spec: JobSpec) -> Result<u64, String> {
         spec.validate()?;
-        let cells = spec.cell_count();
+        let cells = spec
+            .cell_count()
+            .expect("validated specs count their cells");
+        let shutting_down = || Err("server is shutting down".to_string());
+        let (id, seq) = {
+            let mut registry = self.shared.registry.lock().expect("registry poisoned");
+            if registry.shutting_down {
+                return shutting_down();
+            }
+            registry.next_id += 1;
+            registry.next_seq += 1;
+            (registry.next_id - 1, registry.next_seq - 1)
+        };
+        // Spec on disk (synced) before the job is visible: the spool
+        // never holds a job it cannot rebuild. The syncs run outside
+        // the registry lock, and the journal is closed again until the
+        // job runs.
+        let path = self.shared.spool.as_ref().map(|dir| journal_path(dir, id));
+        if let Some(path) = &path {
+            if let Err(e) = Journal::create(path, &spec) {
+                let _ = std::fs::remove_file(path);
+                return Err(format!("spool write failed: {e}"));
+            }
+        }
         let mut registry = self.shared.registry.lock().expect("registry poisoned");
         if registry.shutting_down {
-            return Err("server is shutting down".to_string());
-        }
-        let id = registry.next_id;
-        registry.next_id += 1;
-        let seq = registry.next_seq;
-        registry.next_seq += 1;
-        let spool = match &self.shared.spool {
-            Some(dir) => {
-                let spool = JobSpool::for_job(dir, id);
-                // Spec on disk before the job is visible: the spool
-                // never holds a job it cannot rebuild.
-                std::fs::write(&spool.spec_path, json::job_spec_to_json(&spec))
-                    .map_err(|e| format!("spool write failed: {e}"))?;
-                Some(spool)
+            if let Some(path) = &path {
+                let _ = std::fs::remove_file(path);
             }
-            None => None,
-        };
-        let job = Arc::new(Job {
-            spec: spec.clone(),
-            cancel: CancelToken::new(),
-            state: Mutex::new(JobState {
-                status: JobStatus::Queued,
-                lines: vec![None; cells],
-                completed: 0,
-                start_order: None,
-                aggregate: CampaignAggregate::default(),
-            }),
-            wake: Condvar::new(),
-            spool,
-        });
+            return shutting_down();
+        }
+        let priority = spec.priority;
+        let job = Arc::new(Job::new(spec, vec![None; cells], path));
         registry.jobs.insert(id, job);
-        registry.queue.push(QueueEntry {
-            priority: spec.priority,
-            seq,
-            id,
-        });
+        registry.queue.push(QueueEntry { priority, seq, id });
         drop(registry);
         self.shared.bump(Counter::ServerJobsSubmitted, 1);
         self.shared.queue_wake.notify_all();
@@ -456,12 +459,10 @@ impl JobManager {
         let observed = state.status.clone();
         match state.status {
             JobStatus::Queued => {
+                job.remove_journal();
                 state.status = JobStatus::Cancelled;
                 job.wake.notify_all();
                 drop(state);
-                if let Some(spool) = &job.spool {
-                    spool.remove();
-                }
                 self.shared.bump(Counter::ServerJobsCancelled, 1);
             }
             JobStatus::Running => {
@@ -568,12 +569,10 @@ impl JobManager {
         for job in drained {
             let mut state = job.state.lock().expect("job state poisoned");
             if state.status == JobStatus::Queued {
+                job.remove_journal();
                 state.status = JobStatus::Cancelled;
                 job.wake.notify_all();
                 drop(state);
-                if let Some(spool) = &job.spool {
-                    spool.remove();
-                }
                 self.shared.bump(Counter::ServerJobsCancelled, 1);
             }
         }
@@ -597,76 +596,51 @@ impl Drop for JobManager {
     }
 }
 
-/// Rebuilds the registry from a spool directory: every `job-<id>.json`
-/// spec becomes a queued job under its original id (FIFO by id among
-/// equal priorities), with the completed cell lines recorded in
-/// `job-<id>.ndjson` pre-filled so the runner skips those cells.
+/// The spool journal of job `id`.
+fn journal_path(dir: &Path, id: u64) -> PathBuf {
+    dir.join(format!("job-{id}.journal"))
+}
+
+/// Rebuilds the registry from a spool directory: every readable
+/// `job-<id>.journal` becomes a queued job under its original id (FIFO
+/// by id among equal priorities) with its completed cell lines
+/// pre-filled, so the runner skips those cells. A journal that fails to
+/// load is skipped with a warning and left in place; fresh ids still
+/// continue past it.
 fn restore_spool(dir: &Path, registry: &mut Registry) -> io::Result<()> {
-    let mut found: Vec<(u64, JobSpec)> = Vec::new();
+    let mut found = Vec::new();
     for entry in std::fs::read_dir(dir)? {
         let entry = entry?;
         let name = entry.file_name();
         let Some(name) = name.to_str() else { continue };
         let Some(id) = name
             .strip_prefix("job-")
-            .and_then(|n| n.strip_suffix(".json"))
+            .and_then(|n| n.strip_suffix(".journal"))
             .and_then(|n| n.parse::<u64>().ok())
         else {
+            if name.starts_with("job-") {
+                eprintln!(
+                    "spool: ignoring {name}: not a job journal (drain the spool before upgrading)"
+                );
+            }
             continue;
         };
-        let text = std::fs::read_to_string(entry.path())?;
-        match json::job_spec_from_json(&text).and_then(|s| s.validate().map(|()| s)) {
-            Ok(spec) => found.push((id, spec)),
-            Err(msg) => eprintln!("spool: skipping unreadable {name}: {msg}"),
+        registry.next_id = registry.next_id.max(id.saturating_add(1));
+        let path = entry.path();
+        match journal::recover(&path) {
+            Ok(recovered) => {
+                if recovered.torn {
+                    eprintln!("spool: dropped the torn final record of {name}");
+                }
+                found.push((id, path, recovered));
+            }
+            Err(e) => eprintln!("spool: skipping {name}: {e}"),
         }
     }
-    found.sort_by_key(|(id, _)| *id);
-    for (id, spec) in found {
-        let cells = spec.cell_count();
-        let spool = JobSpool::for_job(dir, id);
-        let mut lines: Vec<Option<String>> = vec![None; cells];
-        if let Ok(text) = std::fs::read_to_string(&spool.lines_path) {
-            let records: Vec<&str> = text.split('\n').collect();
-            for (pos, raw) in records.iter().enumerate() {
-                if raw.is_empty() {
-                    continue;
-                }
-                let parsed = raw.split_once('\t').and_then(|(index, line)| {
-                    index
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|i| *i < cells)
-                        .map(|i| (i, line))
-                });
-                match parsed {
-                    Some((index, line)) => lines[index] = Some(format!("{line}\n")),
-                    // A crash can tear the final record; drop it and
-                    // simply re-run that cell.
-                    None if pos + 1 == records.len() => {}
-                    None => eprintln!(
-                        "spool: ignoring corrupt record {}:{}",
-                        spool.lines_path.display(),
-                        pos + 1
-                    ),
-                }
-            }
-        }
-        let completed = lines.iter().filter(|l| l.is_some()).count();
-        let priority = spec.priority;
-        let job = Arc::new(Job {
-            spec,
-            cancel: CancelToken::new(),
-            state: Mutex::new(JobState {
-                status: JobStatus::Queued,
-                lines,
-                completed,
-                start_order: None,
-                aggregate: CampaignAggregate::default(),
-            }),
-            wake: Condvar::new(),
-            spool: Some(spool),
-        });
-        registry.next_id = registry.next_id.max(id + 1);
+    found.sort_by_key(|(id, ..)| *id);
+    for (id, path, recovered) in found {
+        let priority = recovered.spec.priority;
+        let job = Arc::new(Job::new(recovered.spec, recovered.lines, Some(path)));
         let seq = registry.next_seq;
         registry.next_seq += 1;
         registry.jobs.insert(id, job);
@@ -682,15 +656,17 @@ fn runner_loop(shared: &Arc<Shared>) {
             loop {
                 if let Some(entry) = registry.queue.pop() {
                     if let Some(job) = registry.jobs.get(&entry.id).cloned() {
-                        // Skip entries cancelled while queued.
-                        let queued = {
-                            let state = job.state.lock().expect("job state poisoned");
-                            state.status == JobStatus::Queued
-                        };
-                        if queued {
-                            let order = registry.next_start;
+                        // Skip entries cancelled while queued; claim the
+                        // rest under the state lock, so a cancel lands
+                        // either before (skipped) or after (token).
+                        let mut state = job.state.lock().expect("job state poisoned");
+                        if state.status == JobStatus::Queued {
+                            state.status = JobStatus::Running;
+                            state.start_order = Some(registry.next_start);
                             registry.next_start += 1;
-                            break Some((job, order));
+                            job.wake.notify_all();
+                            drop(state);
+                            break Some(job);
                         }
                     }
                     continue;
@@ -701,13 +677,7 @@ fn runner_loop(shared: &Arc<Shared>) {
                 registry = shared.queue_wake.wait(registry).expect("registry poisoned");
             }
         };
-        let Some((job, order)) = job else { return };
-        {
-            let mut state = job.state.lock().expect("job state poisoned");
-            state.status = JobStatus::Running;
-            state.start_order = Some(order);
-            job.wake.notify_all();
-        }
+        let Some(job) = job else { return };
         run_job(shared, &job);
     }
 }
@@ -756,8 +726,16 @@ fn run_job(shared: &Arc<Shared>, job: &Arc<Job>) {
         .map(|scenario| warm_template(shared, &job.spec, scenario))
         .collect();
     let refs: Vec<&MachineTemplate> = templates.iter().map(Arc::as_ref).collect();
-    let cpus = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
-    let jobs = NonZeroUsize::new(job.spec.jobs.unwrap_or(cpus).max(1)).expect("max(1) is non-zero");
+    if let Some(path) = &job.journal_path {
+        match Journal::open(path) {
+            Ok(journal) => *job.journal.lock().expect("journal poisoned") = Some(journal),
+            Err(e) => {
+                job.set_status(JobStatus::Failed(format!("spool reopen failed: {e}")));
+                return;
+            }
+        }
+    }
+    let jobs = resolve_jobs(job.spec.jobs);
     // Cells restored from the spool (or already present for any other
     // reason) are skipped; their published lines stay as-is.
     let done: Vec<bool> = {
@@ -1024,7 +1002,7 @@ fn submit_body(manager: &JobManager, body: &[u8]) -> Result<(u64, usize), String
         return Err("POST /jobs needs a JSON job spec body (with Content-Length)".to_string());
     }
     let spec = json::job_spec_from_json(text)?;
-    let cells = spec.cell_count();
+    let cells = spec.cell_count().expect("decoded specs are validated");
     let id = manager.submit(spec)?;
     Ok((id, cells))
 }
@@ -1062,6 +1040,8 @@ fn shutdown_from_handler(ctx: &Arc<ServerCtx>) {
 
 #[cfg(test)]
 mod tests {
+    use std::num::NonZeroUsize;
+
     use super::*;
 
     /// Deterministic test formatter (the real one lives in the CLI).
@@ -1117,8 +1097,8 @@ mod tests {
         let id = manager.submit(spec.clone()).unwrap();
         let done = manager.wait(id).unwrap();
         assert_eq!(done.status, JobStatus::Done);
-        assert_eq!(done.completed, spec.cell_count());
-        assert!(done.aggregate.cells == spec.cell_count() as u64);
+        assert_eq!(Some(done.completed), spec.cell_count());
+        assert!(Some(done.aggregate.cells) == spec.cell_count().map(|n| n as u64));
 
         // Reference: serial in-process run through the same spec path.
         let grid = spec.to_grid().unwrap();
@@ -1294,13 +1274,15 @@ mod tests {
         // cell whose line carries marker bytes a re-run could never
         // produce — if it survives, the cell was really skipped.
         let spec = tiny_spec();
-        std::fs::write(dir.join("job-7.json"), json::job_spec_to_json(&spec)).unwrap();
-        std::fs::write(dir.join("job-7.ndjson"), "0\t{\"marker\": true}\n").unwrap();
+        Journal::create(&journal_path(&dir, 7), &spec)
+            .unwrap()
+            .append(0, "{\"marker\": true}\n")
+            .unwrap();
 
         let manager = JobManager::with_spool(fmt, Some(dir.clone())).unwrap();
         let done = manager.wait(7).expect("job restored under its original id");
         assert_eq!(done.status, JobStatus::Done);
-        assert_eq!(done.completed, spec.cell_count());
+        assert_eq!(Some(done.completed), spec.cell_count());
         assert_eq!(
             manager.wait_line(7, 0),
             Some(LineWait::Line("{\"marker\": true}\n".to_string()))
@@ -1311,15 +1293,158 @@ mod tests {
         let mut expected = String::new();
         fmt(&results[1], &mut expected);
         assert_eq!(manager.wait_line(7, 1), Some(LineWait::Line(expected)));
-        // Terminal jobs clean up their spool files, and fresh ids
+        // Terminal jobs delete and close their journals, and fresh ids
         // continue past the restored ones.
-        assert!(!dir.join("job-7.json").exists());
-        assert!(!dir.join("job-7.ndjson").exists());
+        assert!(!journal_path(&dir, 7).exists());
+        let job = manager.job(7).unwrap();
+        assert!(job.journal.lock().unwrap().is_none(), "journal closed");
         let next = manager.submit(tiny_spec()).unwrap();
         assert_eq!(next, 8, "ids continue after the restored job");
         manager.wait(next).unwrap();
         drop(manager);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn queued_jobs_hold_no_open_journal() {
+        let dir = SpoolDir::new("queued-fds");
+        let spec = tiny_spec();
+        for id in 0..3 {
+            Journal::create(&journal_path(&dir.0, id), &spec).unwrap();
+        }
+        let mut registry = Registry::default();
+        restore_spool(&dir.0, &mut registry).unwrap();
+        assert_eq!(registry.jobs.len(), 3);
+        for job in registry.jobs.values() {
+            assert!(
+                job.journal.lock().unwrap().is_none(),
+                "restored jobs are closed"
+            );
+        }
+
+        // Submitted jobs: whenever a job is seen queued (under its state
+        // lock, which the runner needs to claim it), its journal is
+        // closed; it opens only once the job runs.
+        let manager = JobManager::with_spool(fmt, Some(dir.0.clone())).unwrap();
+        let ids: Vec<u64> = (0..4)
+            .map(|_| manager.submit(tiny_spec()).unwrap())
+            .collect();
+        for &id in &ids {
+            let job = manager.job(id).unwrap();
+            let state = job.state.lock().unwrap();
+            if state.status == JobStatus::Queued {
+                assert!(job.journal.lock().unwrap().is_none(), "job {id} is queued");
+            }
+        }
+        for id in ids {
+            assert_eq!(manager.wait(id).unwrap().status, JobStatus::Done);
+            assert!(!journal_path(&dir.0, id).exists());
+        }
+    }
+
+    /// A scratch spool directory, removed on drop.
+    struct SpoolDir(PathBuf);
+
+    impl SpoolDir {
+        fn new(tag: &str) -> Self {
+            let dir = std::env::temp_dir().join(format!("hh-spool-{tag}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            Self(dir)
+        }
+    }
+
+    impl Drop for SpoolDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    /// Cell `index`'s line from the serial reference run of `spec`.
+    fn serial_line(spec: &JobSpec, index: usize) -> String {
+        let results = spec.to_grid().unwrap().run(NonZeroUsize::MIN).unwrap();
+        let mut line = String::new();
+        fmt(&results[index], &mut line);
+        line
+    }
+
+    #[test]
+    fn restart_on_a_torn_final_record_reruns_that_cell() {
+        let dir = SpoolDir::new("torn");
+        let spec = tiny_spec();
+        Journal::create(&journal_path(&dir.0, 4), &spec)
+            .unwrap()
+            .append(0, "{\"marker\": true}\n")
+            .unwrap();
+        // A kill mid-append: cell 1's record never got its newline.
+        let mut file = std::fs::OpenOptions::new()
+            .append(true)
+            .open(journal_path(&dir.0, 4))
+            .unwrap();
+        std::io::Write::write_all(&mut file, b"1\t{\"mark").unwrap();
+        drop(file);
+
+        let manager = JobManager::with_spool(fmt, Some(dir.0.clone())).unwrap();
+        let done = manager.wait(4).expect("job restored");
+        assert_eq!(done.status, JobStatus::Done);
+        assert_eq!(
+            manager.wait_line(4, 0),
+            Some(LineWait::Line("{\"marker\": true}\n".to_string()))
+        );
+        assert_eq!(
+            manager.wait_line(4, 1),
+            Some(LineWait::Line(serial_line(&spec, 1))),
+            "the torn cell re-runs byte-identically"
+        );
+        assert!(!journal_path(&dir.0, 4).exists());
+    }
+
+    #[test]
+    fn restart_skips_an_oversized_spool_spec() {
+        let dir = SpoolDir::new("oversized");
+        // What an unpatched server spooled before panicking on the
+        // spec: restarting on it must skip the job, not panic.
+        std::fs::write(
+            journal_path(&dir.0, 3),
+            format!(
+                "{}\n{{\"scenarios\": [\"micro\"], \"seeds\": {}}}\n",
+                journal::MAGIC,
+                u64::MAX
+            ),
+        )
+        .unwrap();
+        let spec = tiny_spec();
+        Journal::create(&journal_path(&dir.0, 5), &spec).unwrap();
+
+        let manager = JobManager::with_spool(fmt, Some(dir.0.clone())).unwrap();
+        assert!(manager.status(3).is_none(), "the oversized job is skipped");
+        assert_eq!(manager.wait(5).unwrap().status, JobStatus::Done);
+        let next = manager.submit(tiny_spec()).unwrap();
+        assert_eq!(next, 6, "ids continue past every spooled journal");
+        manager.wait(next).unwrap();
+    }
+
+    #[test]
+    fn oversized_spec_gets_400_and_the_server_keeps_serving() {
+        let server = CampaignServer::start("127.0.0.1:0", fmt).unwrap();
+        let api = client::Client::new(&server.local_addr().to_string());
+        let err = api
+            .submit(&format!(
+                "{{\"scenarios\": [\"micro\"], \"seeds\": {}}}",
+                u64::MAX
+            ))
+            .unwrap_err();
+        assert!(err.contains("HTTP 400"), "got: {err}");
+        assert!(err.contains("grid too large"), "got: {err}");
+
+        let spec = tiny_spec();
+        let id = api.submit(&json::job_spec_to_json(&spec)).unwrap();
+        let mut streamed = Vec::new();
+        api.stream(id, &mut streamed).unwrap();
+        let expected: String = (0..2).map(|i| serial_line(&spec, i)).collect();
+        assert_eq!(String::from_utf8(streamed).unwrap(), expected);
+        api.shutdown().unwrap();
+        server.join();
     }
 
     #[test]

@@ -74,29 +74,59 @@ stage_bench_smoke() {
     run ./target/release/table3 --scenario tiny --attempts 5
 }
 
+# same_bytes_across_jobs DIR JOBS FILES REF SKIP ARGS...
+#
+# The "same bytes across --jobs" gate every determinism-style stage
+# shares. Runs `campaign ARGS --jobs J` once per worker count J in JOBS
+# (space-separated); in ARGS, `@J` stands for the count and `@D` for
+# DIR. Each run's stdout, minus its first SKIP lines (banners that name
+# the worker count or a per-run path), lands in DIR/stdout_J.txt and its
+# wall-clock milliseconds in ELAPSED[J]. Then, for every file pattern in
+# FILES (relative to DIR, `@J` again the count), each count's file must
+# `cmp` equal to REF — or, when REF is `-`, to the first count's file.
+declare -A ELAPSED
+same_bytes_across_jobs() {
+    local dir=$1 jobs=$2 files=$3 ref=$4 skip=$5
+    shift 5
+    local j t0 file first=""
+    local args
+    for j in $jobs; do
+        args=("${@//@J/$j}")
+        args=("${args[@]//@D/$dir}")
+        echo "==> campaign ${args[*]} --jobs $j"
+        t0=$(date +%s%N)
+        "$SIM" campaign "${args[@]}" --jobs "$j" \
+            | tail -n +"$((skip + 1))" >"$dir/stdout_$j.txt"
+        ELAPSED[$j]=$((($(date +%s%N) - t0) / 1000000))
+        first=${first:-$j}
+    done
+    for file in $files; do
+        for j in $jobs; do
+            if [ "$ref" = - ]; then
+                [ "$j" = "$first" ] && continue
+                run cmp "$dir/${file//@J/$first}" "$dir/${file//@J/$j}"
+            else
+                run cmp "$ref" "$dir/${file//@J/$j}"
+            fi
+        done
+    done
+}
+
 stage_determinism() {
     stage determinism
     # The campaign engine must produce byte-identical --trace NDJSON for
     # every worker count (see crates/core/src/parallel.rs). Run the tiny
     # grid at 1, 2 and 8 workers and diff the merged event streams.
-    local tmpdir jobs
+    local tmpdir
     tmpdir="$(mktemp -d)"
     # shellcheck disable=SC2064  # expand tmpdir now, not at trap time
     trap "rm -rf '$tmpdir'" RETURN
     build_release
-    for jobs in 1 2 8; do
-        echo "==> campaign --jobs $jobs (tiny grid, traced)"
-        # tail -n +3 drops the "N cells on M workers" banner and the
-        # "trace: wrote ... to PATH" line — the only lines allowed to
-        # mention the worker count or the per-run trace path.
-        "$SIM" \
-            campaign --scenarios tiny --seeds 3 --attempts 2 --bits 4 \
-            --jobs "$jobs" --trace "$tmpdir/trace_${jobs}.ndjson" \
-            | tail -n +3 >"$tmpdir/stdout_${jobs}.txt"
-    done
-    run cmp "$tmpdir/trace_1.ndjson" "$tmpdir/trace_2.ndjson"
-    run cmp "$tmpdir/trace_1.ndjson" "$tmpdir/trace_8.ndjson"
-    run cmp "$tmpdir/stdout_1.txt" "$tmpdir/stdout_8.txt"
+    # SKIP 2 drops the "N cells on M workers" banner and the "trace:
+    # wrote ... to PATH" line — the only lines allowed to mention the
+    # worker count or the per-run trace path.
+    same_bytes_across_jobs "$tmpdir" "1 2 8" "trace_@J.ndjson stdout_@J.txt" - 2 \
+        --scenarios tiny --seeds 3 --attempts 2 --bits 4 --trace "@D/trace_@J.ndjson"
     echo "determinism: --jobs 1/2/8 campaign outputs are byte-identical"
 }
 
@@ -106,22 +136,14 @@ stage_chaos() {
     # campaign must stay exactly as deterministic as a fault-free one:
     # identical --trace NDJSON (injections, retries and degradations
     # included) for every worker count.
-    local tmpdir jobs
+    local tmpdir
     tmpdir="$(mktemp -d)"
     # shellcheck disable=SC2064  # expand tmpdir now, not at trap time
     trap "rm -rf '$tmpdir'" RETURN
     build_release
-    for jobs in 1 2 8; do
-        echo "==> campaign --faults 0.05 --jobs $jobs (tiny grid, traced)"
-        "$SIM" \
-            campaign --scenarios tiny --seeds 3 --attempts 2 --bits 4 \
-            --faults 0.05 --fault-seed 37 \
-            --jobs "$jobs" --trace "$tmpdir/trace_${jobs}.ndjson" \
-            | tail -n +3 >"$tmpdir/stdout_${jobs}.txt"
-    done
-    run cmp "$tmpdir/trace_1.ndjson" "$tmpdir/trace_2.ndjson"
-    run cmp "$tmpdir/trace_1.ndjson" "$tmpdir/trace_8.ndjson"
-    run cmp "$tmpdir/stdout_1.txt" "$tmpdir/stdout_8.txt"
+    same_bytes_across_jobs "$tmpdir" "1 2 8" "trace_@J.ndjson stdout_@J.txt" - 2 \
+        --scenarios tiny --seeds 3 --attempts 2 --bits 4 \
+        --faults 0.05 --fault-seed 37 --trace "@D/trace_@J.ndjson"
     # The injected faults must actually be there to be deterministic
     # about: a 5% plan on the tiny grid always fires at least once.
     run grep -q '"event": "fault_injected"' "$tmpdir/trace_1.ndjson"
@@ -137,39 +159,28 @@ stage_scaling_sanity() {
     # 1/2/4/8 workers, require the 4-worker run to be no slower than
     # serial (plus timing-noise headroom), and require the traced NDJSON
     # to stay byte-identical across every worker count.
-    local tmpdir jobs t0 t1 ncpus
-    declare -A elapsed
+    local tmpdir jobs ncpus
     tmpdir="$(mktemp -d)"
     # shellcheck disable=SC2064  # expand tmpdir now, not at trap time
     trap "rm -rf '$tmpdir'" RETURN
     build_release
+    same_bytes_across_jobs "$tmpdir" "1 2 4 8" "trace_@J.ndjson stdout_@J.txt" - 2 \
+        --scenarios tiny --seeds 8 --attempts 2 --bits 4 --trace "@D/trace_@J.ndjson"
     for jobs in 1 2 4 8; do
-        echo "==> campaign --jobs $jobs (8-cell tiny grid, traced)"
-        t0=$(date +%s%N)
-        ./target/release/hyperhammer-sim \
-            campaign --scenarios tiny --seeds 8 --attempts 2 --bits 4 \
-            --jobs "$jobs" --trace "$tmpdir/trace_${jobs}.ndjson" \
-            | tail -n +3 >"$tmpdir/stdout_${jobs}.txt"
-        t1=$(date +%s%N)
-        elapsed[$jobs]=$(((t1 - t0) / 1000000))
-        echo "    ${elapsed[$jobs]} ms"
+        echo "    --jobs $jobs: ${ELAPSED[$jobs]} ms"
     done
-    run cmp "$tmpdir/trace_1.ndjson" "$tmpdir/trace_2.ndjson"
-    run cmp "$tmpdir/trace_1.ndjson" "$tmpdir/trace_4.ndjson"
-    run cmp "$tmpdir/trace_1.ndjson" "$tmpdir/trace_8.ndjson"
-    run cmp "$tmpdir/stdout_1.txt" "$tmpdir/stdout_4.txt"
     # 4 workers no slower than serial (25% headroom for timer noise).
-    if [ "${elapsed[4]}" -gt $((elapsed[1] * 125 / 100)) ]; then
+    if [ "${ELAPSED[4]}" -gt $((ELAPSED[1] * 125 / 100)) ]; then
         echo "scaling-sanity: inverted scaling — 4 workers took" \
-            "${elapsed[4]} ms vs ${elapsed[1]} ms serial" >&2
+            "${ELAPSED[4]} ms vs ${ELAPSED[1]} ms serial" >&2
         return 1
     fi
     ncpus=$(nproc 2>/dev/null || echo 1)
     if [ "$ncpus" -ge 4 ]; then
         # With real cores behind the workers, demand actual speedup.
-        if [ $((elapsed[1] * 100)) -lt $((elapsed[4] * 150)) ]; then
+        if [ $((ELAPSED[1] * 100)) -lt $((ELAPSED[4] * 150)) ]; then
             echo "scaling-sanity: expected >=1.5x at 4 workers on $ncpus CPUs:" \
-                "serial ${elapsed[1]} ms vs 4-worker ${elapsed[4]} ms" >&2
+                "serial ${ELAPSED[1]} ms vs 4-worker ${ELAPSED[4]} ms" >&2
             return 1
         fi
     else
@@ -187,7 +198,7 @@ stage_memory_cap() {
     # stay within 2x of a 64-cell run at the same --jobs, and the
     # merged streaming NDJSON must be byte-identical to the in-memory
     # --json output at 1/2/8 workers.
-    local tmpdir jobs cells rss_small rss_large
+    local tmpdir cells rss_small rss_large
     tmpdir="$(mktemp -d)"
     # shellcheck disable=SC2064  # expand tmpdir now, not at trap time
     trap "rm -rf '$tmpdir'" RETURN
@@ -218,14 +229,8 @@ stage_memory_cap() {
     ./target/release/hyperhammer-sim \
         campaign --scenarios micro --seeds 16 --attempts 2 --bits 4 \
         --jobs 1 --json >"$tmpdir/inmem_cells.ndjson" 2>/dev/null
-    for jobs in 1 2 8; do
-        echo "==> streaming byte-identity at --jobs $jobs"
-        ./target/release/hyperhammer-sim \
-            campaign --scenarios micro --seeds 16 --attempts 2 --bits 4 \
-            --jobs "$jobs" --json --stream-out "$tmpdir/eq_${jobs}" \
-            >/dev/null 2>/dev/null
-        run cmp "$tmpdir/inmem_cells.ndjson" "$tmpdir/eq_${jobs}/cells.ndjson"
-    done
+    same_bytes_across_jobs "$tmpdir" "1 2 8" "eq_@J/cells.ndjson" "$tmpdir/inmem_cells.ndjson" 0 \
+        --scenarios micro --seeds 16 --attempts 2 --bits 4 --json --stream-out "@D/eq_@J"
     echo "memory-cap: 4096-cell streaming peaked at ${rss_large} KiB" \
         "(64-cell: ${rss_small} KiB); merged output byte-identical at --jobs 1/2/8"
 }
@@ -338,7 +343,7 @@ stage_snapshot_roundtrip() {
     sleep 0.5
     kill -9 "$server_pid"
     wait "$server_pid" 2>/dev/null || true
-    if [ ! -f "$tmpdir/spool/job-${job_id}.json" ]; then
+    if [ ! -f "$tmpdir/spool/job-${job_id}.journal" ]; then
         echo "snapshot-roundtrip: job $job_id finished before kill -9" \
             "(or was never spooled) — nothing to resume" >&2
         return 1
@@ -386,33 +391,24 @@ stage_variant_matrix() {
     # balloon, xen, pthammer, gbhammer cells side by side) must emit
     # byte-identical NDJSON — cell records plus the per-variant
     # comparison report — at every worker count, in memory and streamed.
-    local tmpdir jobs
+    local tmpdir variant
     tmpdir="$(mktemp -d)"
     # shellcheck disable=SC2064  # expand tmpdir now, not at trap time
     trap "rm -rf '$tmpdir'" RETURN
     build_release
-    for jobs in 1 2 8; do
-        echo "==> campaign --scenarios tiny@all,micro@all --jobs $jobs"
-        "$SIM" campaign --scenarios tiny@all,micro@all \
-            --seeds 2 --attempts 2 --bits 4 --jobs "$jobs" --json \
-            >"$tmpdir/variants_${jobs}.ndjson" 2>/dev/null
-    done
-    run cmp "$tmpdir/variants_1.ndjson" "$tmpdir/variants_2.ndjson"
-    run cmp "$tmpdir/variants_1.ndjson" "$tmpdir/variants_8.ndjson"
+    same_bytes_across_jobs "$tmpdir" "1 2 8" "stdout_@J.txt" - 0 \
+        --scenarios tiny@all,micro@all --seeds 2 --attempts 2 --bits 4 --json
     echo "==> streamed sweep at --jobs 4"
-    "$SIM" campaign --scenarios tiny@all,micro@all \
-        --seeds 2 --attempts 2 --bits 4 --jobs 4 --json \
-        --stream-out "$tmpdir/stream" \
-        >"$tmpdir/variants_streamed.ndjson" 2>/dev/null
-    run cmp "$tmpdir/variants_1.ndjson" "$tmpdir/variants_streamed.ndjson"
+    same_bytes_across_jobs "$tmpdir" "4" "stdout_@J.txt" "$tmpdir/stdout_1.txt" 0 \
+        --scenarios tiny@all,micro@all --seeds 2 --attempts 2 --bits 4 --json \
+        --stream-out "@D/stream"
     # The sweep must actually span the matrix: every variant's cells and
     # its row in the comparison report.
-    local variant
     for variant in balloon xen pthammer gbhammer; do
-        run grep -q "\"scenario\": \"tiny@${variant}\"" "$tmpdir/variants_1.ndjson"
-        run grep -q "\"variant\": \"${variant}\"" "$tmpdir/variants_1.ndjson"
+        run grep -q "\"scenario\": \"tiny@${variant}\"" "$tmpdir/stdout_1.txt"
+        run grep -q "\"variant\": \"${variant}\"" "$tmpdir/stdout_1.txt"
     done
-    run grep -q '"variant": "virtio-mem"' "$tmpdir/variants_1.ndjson"
+    run grep -q '"variant": "virtio-mem"' "$tmpdir/stdout_1.txt"
     echo "variant-matrix: scenario x variant sweep byte-identical across" \
         "--jobs 1/2/8 and the streamed path, all five variants present"
 }

@@ -42,7 +42,7 @@ fn variant_grid(trace: TraceMode) -> CampaignGrid {
 #[test]
 fn variant_grid_is_deterministic_across_worker_counts() {
     let grid = variant_grid(TraceMode::Off);
-    let serial = grid.run_serial().expect("serial grid runs");
+    let serial = grid.run(NonZeroUsize::MIN).expect("serial grid runs");
     assert_eq!(serial.len(), AttackVariant::COUNT, "one cell per variant");
     let got: Vec<AttackVariant> = serial.iter().map(|c| c.variant).collect();
     assert_eq!(got, AttackVariant::ALL, "cells come back variant-major");
@@ -71,7 +71,9 @@ fn balloon_cells_are_deterministic_and_staged() {
     let second = grid(TraceMode::Off).run(jobs(2)).expect("grid runs");
     assert_eq!(first, second, "balloon placement must be deterministic");
 
-    let traced = grid(TraceMode::Full).run_serial().expect("traced runs");
+    let traced = grid(TraceMode::Full)
+        .run(NonZeroUsize::MIN)
+        .expect("traced runs");
     for cell in &traced {
         let sink = cell.trace.as_ref().expect("traced cell has a sink");
         let stages: Vec<Stage> = sink
@@ -104,7 +106,7 @@ fn xen_cells_report_reuse_stats() {
         3,
     )
     .with_seed_count(0x7e4, 2);
-    let results = grid.run_serial().expect("xen grid runs");
+    let results = grid.run(NonZeroUsize::MIN).expect("xen grid runs");
     for cell in &results {
         assert!(!cell.stats.attempts.is_empty(), "xen cells run attempts");
         for attempt in &cell.stats.attempts {
@@ -138,7 +140,7 @@ fn gbhammer_cells_corrupt_ptes_not_translations() {
         4,
     )
     .with_seed_count(0x6b, 3);
-    let results = grid.run_serial().expect("gbhammer grid runs");
+    let results = grid.run(NonZeroUsize::MIN).expect("gbhammer grid runs");
     let outcomes: Vec<&AttemptOutcome> = results
         .iter()
         .flat_map(|c| c.stats.attempts.iter().map(|a| &a.outcome))
@@ -177,7 +179,7 @@ fn pthammer_diverges_from_default_but_stays_deterministic() {
         )
         .with_seed_count(0x971, 1)
         .with_trace(TraceMode::Full)
-        .run_serial()
+        .run(NonZeroUsize::MIN)
         .expect("grid runs")
     };
     let pt_a = cell(AttackVariant::PtHammer);

@@ -47,7 +47,7 @@ fn faulted_grids_are_jobs_invariant_for_any_seed() {
         let config = FaultConfig::uniform(rate).with_seed(fault_seed);
 
         let grid = faulted_grid(config, fault_seed ^ 0x5eed, RetryPolicy::standard(), 2);
-        let serial = grid.run_serial();
+        let serial = grid.run(NonZeroUsize::MIN);
         let parallel = grid.run(NonZeroUsize::new(jobs).expect("jobs >= 2"));
         assert_eq!(
             serial, parallel,
@@ -82,7 +82,7 @@ fn cell_outcome_is_a_function_of_its_own_seeds_only() {
         let rate = 3e-6;
 
         let reference = faulted_grid(FaultConfig::default(), host_seed, RetryPolicy::none(), 4)
-            .run_serial()
+            .run(NonZeroUsize::MIN)
             .expect("fault-free grid runs");
         let faulted = match faulted_grid(
             FaultConfig::uniform(rate).with_seed(fault_seed),
@@ -90,7 +90,7 @@ fn cell_outcome_is_a_function_of_its_own_seeds_only() {
             RetryPolicy::none(),
             4,
         )
-        .run_serial()
+        .run(NonZeroUsize::MIN)
         {
             Ok(results) => results,
             // Zero retries: a fault during profiling kills the cell

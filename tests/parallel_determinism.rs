@@ -27,7 +27,7 @@ fn jobs(n: usize) -> NonZeroUsize {
 #[test]
 fn two_and_eight_workers_match_serial() {
     let grid = demo_grid();
-    let serial = grid.run_serial().expect("serial grid runs");
+    let serial = grid.run(NonZeroUsize::MIN).expect("serial grid runs");
     assert_eq!(serial.len(), 4, "one cell per seed");
 
     let two = grid.run(jobs(2)).expect("2-worker grid runs");
@@ -72,7 +72,7 @@ fn variant_grid_matches_serial() {
         ..DriverParams::paper()
     };
     let grid = CampaignGrid::new(scenarios, params, 2).with_seed_count(0xd15c1, 1);
-    let serial = grid.run_serial().expect("serial grid runs");
+    let serial = grid.run(NonZeroUsize::MIN).expect("serial grid runs");
     assert_eq!(serial.len(), AttackVariant::COUNT);
     for n in [2, 8] {
         let run = grid.run(jobs(n)).expect("grid runs");

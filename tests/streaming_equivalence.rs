@@ -15,6 +15,7 @@ use hyperhammer::machine::Scenario;
 use hyperhammer::parallel::{CampaignGrid, CellResult, StreamError};
 use hyperhammer::steering::RetryPolicy;
 use hyperhammer::streamref::{merge_shards, CampaignAggregate, CampaignStreamer};
+use hyperhammer::{CancelToken, MachineTemplate};
 
 /// The formatters must be pure functions of the cell; `Debug` of the
 /// stats is deterministic and covers every field the CLI would print.
@@ -48,7 +49,7 @@ struct Output {
 /// The in-memory reference: run serially, serialize in grid order,
 /// fold the aggregate in grid order.
 fn in_memory(grid: &CampaignGrid) -> Result<Output, StreamError> {
-    let results = grid.run_serial()?;
+    let results = grid.run(NonZeroUsize::MIN)?;
     let mut out = Output {
         cells: String::new(),
         traces: String::new(),
@@ -62,18 +63,23 @@ fn in_memory(grid: &CampaignGrid) -> Result<Output, StreamError> {
     Ok(out)
 }
 
-/// The streaming path: exactly `jobs` OS threads (no parallelism
-/// clamp), per-worker spill shards, grid-order merge.
+/// The streaming path: exactly `jobs` OS threads (the engine never
+/// clamps), per-worker spill shards, grid-order merge.
 fn streamed(
     grid: &CampaignGrid,
     jobs: usize,
     with_traces: bool,
     dir: &Path,
 ) -> Result<Output, StreamError> {
-    let consumers = grid
-        .run_streamed_exact(NonZeroUsize::new(jobs).expect("non-zero jobs"), |worker| {
-            CampaignStreamer::new(dir, worker, with_traces, fmt_cell as Fmt, fmt_trace as Fmt)
-        })?;
+    let templates = grid.scenario_templates();
+    let refs: Vec<&MachineTemplate> = templates.iter().collect();
+    let consumers = grid.run_streamed_resume(
+        NonZeroUsize::new(jobs).expect("non-zero jobs"),
+        &refs,
+        &CancelToken::new(),
+        &|_| false,
+        |worker| CampaignStreamer::new(dir, worker, with_traces, fmt_cell as Fmt, fmt_trace as Fmt),
+    )?;
     let mut aggregates = Vec::new();
     let mut cell_shards = Vec::new();
     let mut trace_shards = Vec::new();
@@ -266,7 +272,7 @@ fn streaming_reports_the_grid_order_first_error() {
     let (grid, reference) = (0u64..8)
         .find_map(|s| {
             let grid = grid_for(0xdead_beef ^ s);
-            grid.run_serial().err().map(|e| (grid, e))
+            grid.run(NonZeroUsize::MIN).err().map(|e| (grid, e))
         })
         .expect("a 90% fault rate with no retries kills some cell");
     for jobs in [1usize, 2, 8] {
@@ -289,7 +295,7 @@ fn streaming_reports_the_grid_order_first_error() {
 #[test]
 fn aggregate_matches_a_hand_fold_of_serial_results() {
     let grid = micro_grid(4, TraceMode::Off);
-    let results = grid.run_serial().expect("serial grid runs");
+    let results = grid.run(NonZeroUsize::MIN).expect("serial grid runs");
     let scratch = ScratchDir::new("hand-fold");
     let got = streamed(&grid, 2, false, &scratch.0).expect("streamed grid runs");
 

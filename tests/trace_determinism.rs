@@ -56,7 +56,7 @@ fn merged_metrics(results: &[CellResult]) -> Metrics {
 #[test]
 fn four_workers_match_serial_byte_for_byte() {
     let grid = demo_grid(TraceMode::Full);
-    let serial = grid.run_serial().expect("serial grid runs");
+    let serial = grid.run(NonZeroUsize::MIN).expect("serial grid runs");
     let four = grid.run(jobs(4)).expect("4-worker grid runs");
 
     let serial_stream = ndjson(&serial);
