@@ -7,13 +7,16 @@
 //! fail CI on perf regressions.
 //!
 //! The workspace builds offline with no external crates, so the format
-//! is written and parsed here by hand. The schema is deliberately flat —
-//! see `EXPERIMENTS.md` ("Test and bench artefacts") for the field
+//! is written here by hand and read through the workspace's one JSON
+//! codec, [`hh_sim::json`]. The schema is deliberately flat — see
+//! `EXPERIMENTS.md` ("Test and bench artefacts") for the field
 //! reference and the re-baselining policy.
 
 use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
+
+use hh_sim::json::{self, quote, Json};
 
 /// Schema tag emitted in every report; bumped on breaking changes.
 pub const SCHEMA: &str = "hyperhammer-bench-v1";
@@ -100,43 +103,47 @@ impl BenchReport {
     ///
     /// Returns a description of the first syntax or schema problem.
     pub fn parse(text: &str) -> Result<Self, String> {
-        let value = JsonParser::new(text).parse()?;
-        let obj = value.as_obj().ok_or("top level must be an object")?;
-        let schema = get(obj, "schema")?
+        let doc = json::parse(text).map_err(|e| e.to_string())?;
+        doc.as_object().ok_or("top level must be an object")?;
+        let schema = field(&doc, "schema")?
             .as_str()
             .ok_or("schema must be a string")?;
         if schema != SCHEMA {
             return Err(format!("unsupported schema {schema:?} (want {SCHEMA:?})"));
         }
-        let quick = get(obj, "quick")?.as_bool().ok_or("quick must be a bool")?;
-        let records = get(obj, "records")?
-            .as_arr()
+        let quick = field(&doc, "quick")?
+            .as_bool()
+            .ok_or("quick must be a bool")?;
+        let records = field(&doc, "records")?
+            .as_array()
             .ok_or("records must be an array")?
             .iter()
-            .map(|v| {
-                let r = v.as_obj().ok_or("record must be an object")?;
+            .map(|r| {
+                r.as_object().ok_or("record must be an object")?;
                 Ok(BenchRecord {
-                    name: get(r, "name")?
+                    name: field(r, "name")?
                         .as_str()
                         .ok_or("name must be a string")?
                         .to_string(),
-                    iters: get(r, "iters")?
+                    iters: field(r, "iters")?
                         .as_u64()
                         .ok_or("iters must be an integer")?,
-                    ns_per_iter: get(r, "ns_per_iter")?
+                    ns_per_iter: field(r, "ns_per_iter")?
                         .as_f64()
                         .ok_or("ns_per_iter must be a number")?,
-                    flips_per_sec: match get(r, "flips_per_sec")? {
+                    flips_per_sec: match field(r, "flips_per_sec")? {
                         Json::Null => None,
                         v => Some(v.as_f64().ok_or("flips_per_sec must be a number")?),
                     },
-                    scenario: get(r, "scenario")?
+                    scenario: field(r, "scenario")?
                         .as_str()
                         .ok_or("scenario must be a string")?
                         .to_string(),
-                    seed: get(r, "seed")?.as_u64().ok_or("seed must be an integer")?,
+                    seed: field(r, "seed")?
+                        .as_u64()
+                        .ok_or("seed must be an integer")?,
                     // Absent in pre-field reports — tolerate, don't fail.
-                    peak_rss_kib: match get_opt(r, "peak_rss_kib") {
+                    peak_rss_kib: match r.get("peak_rss_kib") {
                         None | Some(Json::Null) => None,
                         Some(v) => Some(v.as_u64().ok_or("peak_rss_kib must be an integer")?),
                     },
@@ -322,331 +329,9 @@ fn format_f64(v: f64) -> String {
     }
 }
 
-fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Minimal JSON value for the parser below.
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn as_obj(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(o) => Some(o),
-            _ => None,
-        }
-    }
-    fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(a) => Some(a),
-            _ => None,
-        }
-    }
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-    fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-    fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-    fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
-                Some(*n as u64)
-            }
-            _ => None,
-        }
-    }
-}
-
-fn get<'a>(obj: &'a [(String, Json)], key: &str) -> Result<&'a Json, String> {
-    get_opt(obj, key).ok_or_else(|| format!("missing key {key:?}"))
-}
-
-/// [`get`] for keys added to the schema after v1 reports already
-/// existed: absence is data, not an error.
-fn get_opt<'a>(obj: &'a [(String, Json)], key: &str) -> Option<&'a Json> {
-    obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-/// A small recursive-descent JSON parser — enough for the bench schema
-/// (`\uXXXX` escapes cover the full range: surrogate pairs combine
-/// into their supplementary-plane scalar, lone surrogates are errors).
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> JsonParser<'a> {
-    fn new(text: &'a str) -> Self {
-        Self {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn parse(mut self) -> Result<Json, String> {
-        let v = self.value()?;
-        self.skip_ws();
-        if self.pos != self.bytes.len() {
-            return Err(format!("trailing data at byte {}", self.pos));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&mut self) -> Result<u8, String> {
-        self.skip_ws();
-        self.bytes
-            .get(self.pos)
-            .copied()
-            .ok_or_else(|| "unexpected end of input".to_string())
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek()? == b {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(format!("invalid literal at byte {}", self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => Ok(Json::Str(self.string()?)),
-            b't' => self.literal("true", Json::Bool(true)),
-            b'f' => self.literal("false", Json::Bool(false)),
-            b'n' => self.literal("null", Json::Null),
-            b'-' | b'0'..=b'9' => self.number(),
-            other => Err(format!(
-                "unexpected {:?} at byte {}",
-                other as char, self.pos
-            )),
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek()? == b'}' {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.expect(b':')?;
-            fields.push((key, self.value()?));
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                other => {
-                    return Err(format!(
-                        "expected ',' or '}}', got {:?} at byte {}",
-                        other as char, self.pos
-                    ))
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek()? == b']' {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b']' => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                other => {
-                    return Err(format!(
-                        "expected ',' or ']', got {:?} at byte {}",
-                        other as char, self.pos
-                    ))
-                }
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let b = *self.bytes.get(self.pos).ok_or("unterminated string")?;
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = *self.bytes.get(self.pos).ok_or("unterminated escape")?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let code = self.hex_escape()?;
-                            let c = match code {
-                                // High surrogate: must pair with an
-                                // immediately following \uDC00..\uDFFF
-                                // low surrogate (RFC 8259 §7) to form
-                                // one supplementary-plane scalar.
-                                0xd800..=0xdbff => {
-                                    if self.bytes.get(self.pos..self.pos + 2) != Some(b"\\u") {
-                                        return Err(format!(
-                                            "lone high surrogate \\u{code:04x} (expected \
-                                             \\uDC00-\\uDFFF to follow)"
-                                        ));
-                                    }
-                                    self.pos += 2;
-                                    let low = self.hex_escape()?;
-                                    if !(0xdc00..=0xdfff).contains(&low) {
-                                        return Err(format!(
-                                            "high surrogate \\u{code:04x} followed by \
-                                             \\u{low:04x}, not a low surrogate"
-                                        ));
-                                    }
-                                    let scalar = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
-                                    char::from_u32(scalar).expect("paired surrogates are scalar")
-                                }
-                                0xdc00..=0xdfff => {
-                                    return Err(format!(
-                                        "lone low surrogate \\u{code:04x} (no preceding \
-                                         high surrogate)"
-                                    ));
-                                }
-                                code => char::from_u32(code).expect("BMP non-surrogate is scalar"),
-                            };
-                            out.push(c);
-                        }
-                        other => {
-                            return Err(format!("unknown escape \\{}", other as char));
-                        }
-                    }
-                }
-                b if b < 0x80 => out.push(b as char),
-                _ => {
-                    // Multi-byte UTF-8: copy the whole sequence through.
-                    let start = self.pos - 1;
-                    let len = utf8_len(b);
-                    let chunk = self
-                        .bytes
-                        .get(start..start + len)
-                        .ok_or("truncated UTF-8 sequence")?;
-                    let s = std::str::from_utf8(chunk).map_err(|_| "invalid UTF-8")?;
-                    out.push_str(s);
-                    self.pos = start + len;
-                }
-            }
-        }
-    }
-
-    /// Reads the 4 hex digits of a `\u` escape (the `\u` itself
-    /// already consumed) and returns the code unit.
-    fn hex_escape(&mut self) -> Result<u32, String> {
-        let hex = self
-            .bytes
-            .get(self.pos..self.pos + 4)
-            .ok_or("truncated \\u escape")?;
-        let hex = std::str::from_utf8(hex).map_err(|_| "non-ascii \\u escape")?;
-        let code = u32::from_str_radix(hex, 16).map_err(|_| "invalid \\u escape")?;
-        self.pos += 4;
-        Ok(code)
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "invalid number bytes")?;
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|e| format!("bad number {text:?}: {e}"))
-    }
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
-    }
+/// A member every record (or the report itself) must have.
+fn field<'a>(obj: &'a Json, key: &str) -> Result<&'a Json, String> {
+    obj.get(key).ok_or_else(|| format!("missing key {key:?}"))
 }
 
 #[cfg(test)]
@@ -683,10 +368,36 @@ mod tests {
                     seed: 0,
                     ..record("dram/bank_of", 5.0)
                 },
+                // Integers above 2^53 have no exact f64; they must
+                // survive anyway, as must non-BMP names.
+                BenchRecord {
+                    iters: (1 << 53) + 1,
+                    seed: u64::MAX - 1,
+                    scenario: "name \u{1f600} \u{10FFFF}".to_string(),
+                    ..record("campaign/big", 7.0)
+                },
             ],
         };
         let parsed = BenchReport::parse(&report.to_json()).expect("round trip");
         assert_eq!(parsed, report);
+    }
+
+    #[test]
+    fn committed_baselines_reencode_byte_for_byte() {
+        for (path, text) in [
+            (
+                "BENCH_campaign.json",
+                include_str!("../../../BENCH_campaign.json"),
+            ),
+            ("BENCH_dram.json", include_str!("../../../BENCH_dram.json")),
+        ] {
+            let report = BenchReport::parse(text).unwrap_or_else(|e| panic!("{path}: {e}"));
+            assert!(!report.records.is_empty(), "{path}");
+            assert!(
+                report.to_json() + "\n" == text,
+                "{path} does not re-encode to itself"
+            );
+        }
     }
 
     #[test]
@@ -823,54 +534,5 @@ mod tests {
             records: vec![],
         };
         assert!(diff(&quick, &full, DEFAULT_TOLERANCE).is_err());
-    }
-
-    #[test]
-    fn parser_handles_escapes_and_nesting() {
-        let text = r#"{"a": [1, -2.5, 1e3], "b": {"q\"x": "yA\n"}, "c": null}"#;
-        let v = JsonParser::new(text).parse().expect("parses");
-        let obj = v.as_obj().unwrap();
-        assert_eq!(get(obj, "a").unwrap().as_arr().unwrap().len(), 3);
-        let b = get(obj, "b").unwrap().as_obj().unwrap();
-        assert_eq!(get(b, "q\"x").unwrap().as_str().unwrap(), "yA\n");
-        assert_eq!(get(obj, "c").unwrap(), &Json::Null);
-    }
-
-    #[test]
-    fn parser_pairs_surrogate_escapes() {
-        // `\ud83d\ude00` is 😀 (U+1F600); other producers may escape
-        // non-BMP strings this way even though quote() emits raw UTF-8.
-        let v = JsonParser::new("{\"s\": \"grin \\ud83d\\ude00!\"}")
-            .parse()
-            .expect("surrogate pair parses");
-        let obj = v.as_obj().unwrap();
-        assert_eq!(get(obj, "s").unwrap().as_str().unwrap(), "grin 😀!");
-        // The BMP boundary cases stay plain scalars.
-        let v = JsonParser::new("\"\\ud7ff\\ue000\"")
-            .parse()
-            .expect("BMP neighbours parse");
-        assert_eq!(v.as_str().unwrap(), "\u{d7ff}\u{e000}");
-    }
-
-    #[test]
-    fn parser_rejects_lone_and_reversed_surrogates() {
-        for bad in [
-            r#""\ud83d""#,        // lone high at end of string
-            r#""\ud83d rest""#,   // high followed by plain text
-            "\"\\ud83d\\u0041\"", // high followed by non-surrogate escape
-            r#""\ude00""#,        // lone low
-            r#""\ude00\ud83d""#,  // reversed pair
-        ] {
-            let err = JsonParser::new(bad).parse().expect_err(bad);
-            assert!(err.contains("surrogate"), "{bad}: {err}");
-        }
-    }
-
-    #[test]
-    fn non_bmp_strings_round_trip_through_quote_and_parse() {
-        let original = "name 😀 \u{10FFFF} plain";
-        let quoted = quote(original);
-        let v = JsonParser::new(&quoted).parse().expect("round-trips");
-        assert_eq!(v.as_str().unwrap(), original);
     }
 }

@@ -14,6 +14,7 @@ use hh_sim::clock::SimDuration;
 use hh_sim::Gpa;
 use hh_trace::{Counter, Metrics, Stage, TraceMode, TraceSink};
 use hyperhammer::driver::{AttackDriver, AttemptOutcome, DriverParams};
+use hyperhammer::jobspec::job_spec_to_json;
 use hyperhammer::machine::{AttackVariant, Scenario};
 use hyperhammer::parallel::{
     resolve_jobs, CampaignGrid, CancelToken, CellConsumer, CellResult, StreamError,
@@ -1113,7 +1114,7 @@ fn client(
     let api = hh_server::client::Client::new(addr);
     match action {
         ClientAction::Submit { spec } => {
-            let id = api.submit(&hh_server::json::job_spec_to_json(spec))?;
+            let id = api.submit(&job_spec_to_json(spec))?;
             if opts.json {
                 println!("{{\"id\": {id}}}");
             } else {

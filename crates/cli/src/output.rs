@@ -3,9 +3,12 @@
 //! The workspace builds offline with no external crates, so JSON is
 //! emitted through the tiny [`Json`] trait instead of a serialization
 //! framework. Records are flat (strings, numbers, bools, simple arrays),
-//! which keeps the hand-rolled encoder honest.
+//! which keeps the hand-rolled encoder honest. Strings are escaped by
+//! [`hh_sim::json::quote`], the workspace's one escaper.
 
 use std::fmt::Write as _;
+
+use hh_sim::json::quote;
 
 /// A type that can render itself as a JSON object.
 pub trait Json {
@@ -22,7 +25,7 @@ pub struct JsonObject {
 impl JsonObject {
     /// Adds a string field (escaped).
     pub fn string(&mut self, key: &str, value: &str) {
-        self.push(key, escape(value));
+        self.push(key, quote(value));
     }
 
     /// Adds an integer-like field.
@@ -78,7 +81,7 @@ impl JsonObject {
         let mut out = String::from("{\n");
         for (i, (key, value)) in self.entries.iter().enumerate() {
             let comma = if i + 1 == self.entries.len() { "" } else { "," };
-            let _ = writeln!(out, "  {}: {value}{comma}", escape(key));
+            let _ = writeln!(out, "  {}: {value}{comma}", quote(key));
         }
         out.push('}');
         out
@@ -88,30 +91,10 @@ impl JsonObject {
         let body: Vec<String> = self
             .entries
             .iter()
-            .map(|(key, value)| format!("{}: {value}", escape(key)))
+            .map(|(key, value)| format!("{}: {value}", quote(key)))
             .collect();
         format!("{{{}}}", body.join(", "))
     }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Renders a record as a pretty-printed JSON object.

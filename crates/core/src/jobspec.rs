@@ -7,9 +7,14 @@
 //! holds **by construction**: both build their [`CampaignGrid`] through
 //! [`JobSpec::grid_for`], so driver parameters, fault plans, retry
 //! policies and seed derivation can never drift apart.
+//!
+//! The spec's JSON form ([`job_spec_from_json`], [`job_spec_to_json`])
+//! is what `POST /jobs` accepts, what the CLI client sends and what
+//! journal headers store.
 
 use hh_hv::FaultConfig;
 use hh_sim::clock::SimDuration;
+use hh_sim::json::{self, quote, Json};
 
 use crate::driver::DriverParams;
 use crate::machine::Scenario;
@@ -166,6 +171,112 @@ impl JobSpec {
     }
 }
 
+/// Decodes a job-spec JSON object into a [`JobSpec`], starting from the
+/// spec defaults. Unknown keys are rejected by name so a typo like
+/// `"seedz"` fails loudly instead of silently running the default.
+///
+/// # Errors
+///
+/// Syntax errors, unknown keys, wrong member types, or a spec that
+/// fails [`JobSpec::validate`] (e.g. an unregistered scenario name).
+pub fn job_spec_from_json(text: &str) -> Result<JobSpec, String> {
+    let doc = json::parse(text).map_err(|e| e.to_string())?;
+    let members = doc.as_object().ok_or("job spec must be a JSON object")?;
+    let mut spec = JobSpec::default();
+    for (key, value) in members {
+        match key.as_str() {
+            "scenarios" => {
+                let items = value
+                    .as_array()
+                    .ok_or("\"scenarios\" must be an array of names")?;
+                spec.scenarios = items
+                    .iter()
+                    .map(|item| {
+                        item.as_str()
+                            .map(str::to_string)
+                            .ok_or_else(|| "\"scenarios\" entries must be strings".to_string())
+                    })
+                    .collect::<Result<_, _>>()?;
+            }
+            "seeds" => spec.seeds = need_usize(key, value)?,
+            "base_seed" => spec.base_seed = need_u64(key, value)?,
+            "attempts" => spec.attempts = need_usize(key, value)?,
+            "bits" => spec.bits = need_usize(key, value)?,
+            "jobs" => {
+                spec.jobs = match value {
+                    Json::Null => None,
+                    _ => Some(need_usize(key, value)?),
+                }
+            }
+            "priority" => {
+                let raw = need_u64(key, value)?;
+                spec.priority = u8::try_from(raw)
+                    .map_err(|_| format!("\"priority\" must fit a u8, got {raw}"))?;
+            }
+            "fault_rate" => {
+                spec.fault_rate = value.as_f64().ok_or("\"fault_rate\" must be a number")?;
+            }
+            "fault_seed" => spec.fault_seed = need_u64(key, value)?,
+            "max_retries" => {
+                let raw = need_u64(key, value)?;
+                spec.max_retries = u32::try_from(raw)
+                    .map_err(|_| format!("\"max_retries\" must fit a u32, got {raw}"))?;
+            }
+            "backoff_ms" => spec.backoff_ms = need_u64(key, value)?,
+            other => {
+                return Err(format!(
+                    "unknown job-spec key {other:?} (known: scenarios, seeds, base_seed, \
+                     attempts, bits, jobs, priority, fault_rate, fault_seed, max_retries, \
+                     backoff_ms)"
+                ))
+            }
+        }
+    }
+    spec.validate()?;
+    Ok(spec)
+}
+
+fn need_usize(key: &str, value: &Json) -> Result<usize, String> {
+    value
+        .as_usize()
+        .ok_or_else(|| format!("{key:?} must be a non-negative integer"))
+}
+
+fn need_u64(key: &str, value: &Json) -> Result<u64, String> {
+    value
+        .as_u64()
+        .ok_or_else(|| format!("{key:?} must be a non-negative integer"))
+}
+
+/// Serializes a [`JobSpec`] to the JSON [`job_spec_from_json`] accepts,
+/// so flag-built specs round-trip exactly.
+pub fn job_spec_to_json(spec: &JobSpec) -> String {
+    let scenarios = spec
+        .scenarios
+        .iter()
+        .map(|s| quote(s))
+        .collect::<Vec<_>>()
+        .join(", ");
+    let jobs = match spec.jobs {
+        Some(n) => n.to_string(),
+        None => "null".to_string(),
+    };
+    format!(
+        "{{\"scenarios\": [{scenarios}], \"seeds\": {}, \"base_seed\": {}, \
+         \"attempts\": {}, \"bits\": {}, \"jobs\": {jobs}, \"priority\": {}, \
+         \"fault_rate\": {}, \"fault_seed\": {}, \"max_retries\": {}, \"backoff_ms\": {}}}",
+        spec.seeds,
+        spec.base_seed,
+        spec.attempts,
+        spec.bits,
+        spec.priority,
+        spec.fault_rate,
+        spec.fault_seed,
+        spec.max_retries,
+        spec.backoff_ms,
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -252,5 +363,52 @@ mod tests {
         assert_eq!((spec.seeds, spec.attempts, spec.bits), (1, 50, 12));
         assert_eq!((spec.max_retries, spec.backoff_ms), (4, 10));
         assert!(!spec.fault_config().is_active());
+    }
+
+    #[test]
+    fn job_spec_round_trips_through_json() {
+        let spec = JobSpec {
+            scenarios: vec!["tiny".to_string(), "micro".to_string()],
+            seeds: 3,
+            base_seed: u64::MAX - 14,
+            attempts: 7,
+            bits: 5,
+            jobs: Some(2),
+            priority: 9,
+            fault_rate: 0.25,
+            fault_seed: 0xfa01,
+            max_retries: 2,
+            backoff_ms: 1,
+        };
+        let text = job_spec_to_json(&spec);
+        let parsed = job_spec_from_json(&text).unwrap();
+        assert_eq!(parsed, spec);
+    }
+
+    #[test]
+    fn partial_spec_fills_defaults() {
+        let spec = job_spec_from_json(r#"{"scenarios": ["tiny"], "seeds": 2}"#).unwrap();
+        assert_eq!(spec.scenarios, vec!["tiny".to_string()]);
+        assert_eq!(spec.seeds, 2);
+        let defaults = JobSpec::default();
+        assert_eq!(spec.attempts, defaults.attempts);
+        assert_eq!(spec.bits, defaults.bits);
+    }
+
+    #[test]
+    fn unknown_keys_and_bad_scenarios_fail_loudly() {
+        let err = job_spec_from_json(r#"{"seedz": 2}"#).unwrap_err();
+        assert!(err.contains("unknown job-spec key \"seedz\""), "got: {err}");
+        assert!(err.contains("scenarios"), "error must list known keys");
+
+        let err = job_spec_from_json(r#"{"scenarios": ["warp9"]}"#).unwrap_err();
+        assert!(err.contains("unknown scenario warp9"), "got: {err}");
+        assert!(err.contains("registered"), "got: {err}");
+
+        let err = job_spec_from_json(r#"{"scenarios": "tiny"}"#).unwrap_err();
+        assert!(err.contains("array"), "got: {err}");
+
+        let err = job_spec_from_json(r#"{"priority": 300}"#).unwrap_err();
+        assert!(err.contains("u8"), "got: {err}");
     }
 }

@@ -12,7 +12,7 @@ use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::Mutex;
 
-use crate::json::{self, Json};
+use hh_sim::json::{self, Json};
 
 /// A client bound to one server address.
 #[derive(Debug)]
@@ -119,7 +119,8 @@ impl Client {
     /// message is included), or an id-less response.
     pub fn submit(&self, spec_json: &str) -> Result<u64, String> {
         let body = self.expect_ok("POST", "/jobs", Some(spec_json))?;
-        json::parse(&body)?
+        json::parse(&body)
+            .map_err(|e| format!("submit response {body:?}: {e}"))?
             .get("id")
             .and_then(Json::as_u64)
             .ok_or_else(|| format!("submit response without id: {body}"))

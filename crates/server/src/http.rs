@@ -9,6 +9,8 @@
 
 use std::io::{self, BufRead, Write};
 
+use hh_sim::json::quote;
+
 /// Upper bound on the request line plus all header bytes.
 pub const MAX_HEAD_BYTES: usize = 8 * 1024;
 
@@ -288,27 +290,8 @@ pub fn error_response(err: &ParseError) -> Option<Response> {
     };
     Some(Response::json(
         status,
-        format!("{{\"error\": {}}}", json_escape(&msg)),
+        format!("{{\"error\": {}}}", quote(&msg)),
     ))
-}
-
-/// Serializes `s` as a JSON string literal (quotes included).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Writer for a `Transfer-Encoding: chunked` response body.
@@ -508,12 +491,5 @@ mod tests {
             text.ends_with("c\r\n{\"cell\": 0}\n\r\nc\r\n{\"cell\": 1}\n\r\n0\r\n\r\n"),
             "{text}"
         );
-    }
-
-    #[test]
-    fn json_escape_handles_specials() {
-        assert_eq!(json_escape("plain"), "\"plain\"");
-        assert_eq!(json_escape("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_escape("\u{1}"), "\"\\u0001\"");
     }
 }

@@ -23,9 +23,8 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::Path;
 
+use hyperhammer::jobspec::{job_spec_from_json, job_spec_to_json};
 use hyperhammer::JobSpec;
-
-use crate::json::{job_spec_from_json, job_spec_to_json};
 
 /// First line of every journal.
 pub const MAGIC: &str = "hyperhammer-ckpt-v1";

@@ -51,7 +51,6 @@
 pub mod client;
 pub mod http;
 pub mod journal;
-pub mod json;
 
 use std::collections::{BinaryHeap, HashMap};
 use std::io::{self, BufReader};
@@ -62,12 +61,14 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use hh_sim::json::quote;
 use hh_trace::{Counter, Metrics};
+use hyperhammer::jobspec::job_spec_from_json;
 use hyperhammer::parallel::{resolve_jobs, CellConsumer, StreamError};
 use hyperhammer::streamref::CampaignAggregate;
 use hyperhammer::{CancelToken, CellResult, JobSpec, MachineTemplate};
 
-use http::{error_response, json_escape, ChunkedWriter, Method, ParseError, Request, Response};
+use http::{error_response, ChunkedWriter, Method, ParseError, Request, Response};
 use journal::Journal;
 
 /// Per-cell NDJSON line formatter, injected by the CLI so the server
@@ -134,7 +135,7 @@ impl JobSnapshot {
     /// Serializes the snapshot as the `GET /jobs/{id}` response body.
     pub fn to_json(&self) -> String {
         let error = match &self.status {
-            JobStatus::Failed(msg) => format!(", \"error\": {}", json_escape(msg)),
+            JobStatus::Failed(msg) => format!(", \"error\": {}", quote(msg)),
             _ => String::new(),
         };
         format!(
@@ -142,7 +143,7 @@ impl JobSnapshot {
              \"completed\": {}, \"succeeded\": {}, \"attempts\": {}, \
              \"aborted_attempts\": {}{error}}}",
             self.id,
-            json_escape(self.status.name()),
+            quote(self.status.name()),
             self.priority,
             self.cells,
             self.completed,
@@ -959,7 +960,7 @@ fn route(ctx: &Arc<ServerCtx>, request: &Request, writer: &mut TcpStream) -> io:
         }
         (Method::Post, ["jobs"]) => match submit_body(manager, &request.body) {
             Ok((id, cells)) => Response::json(202, format!("{{\"id\": {id}, \"cells\": {cells}}}")),
-            Err(msg) => Response::json(400, format!("{{\"error\": {}}}", json_escape(&msg))),
+            Err(msg) => Response::json(400, format!("{{\"error\": {}}}", quote(&msg))),
         },
         (Method::Get, ["jobs", id]) => {
             match id.parse::<u64>().ok().and_then(|id| manager.status(id)) {
@@ -971,10 +972,7 @@ fn route(ctx: &Arc<ServerCtx>, request: &Request, writer: &mut TcpStream) -> io:
             Some(id) => match manager.cancel(id) {
                 Some(observed) => Response::json(
                     202,
-                    format!(
-                        "{{\"id\": {id}, \"was\": {}}}",
-                        json_escape(observed.name())
-                    ),
+                    format!("{{\"id\": {id}, \"was\": {}}}", quote(observed.name())),
                 ),
                 None => not_found(),
             },
@@ -1001,7 +999,7 @@ fn submit_body(manager: &JobManager, body: &[u8]) -> Result<(u64, usize), String
     if text.trim().is_empty() {
         return Err("POST /jobs needs a JSON job spec body (with Content-Length)".to_string());
     }
-    let spec = json::job_spec_from_json(text)?;
+    let spec = job_spec_from_json(text)?;
     let cells = spec.cell_count().expect("decoded specs are validated");
     let id = manager.submit(spec)?;
     Ok((id, cells))
@@ -1041,6 +1039,8 @@ fn shutdown_from_handler(ctx: &Arc<ServerCtx>) {
 #[cfg(test)]
 mod tests {
     use std::num::NonZeroUsize;
+
+    use hyperhammer::jobspec::job_spec_to_json;
 
     use super::*;
 
@@ -1438,7 +1438,27 @@ mod tests {
         assert!(err.contains("grid too large"), "got: {err}");
 
         let spec = tiny_spec();
-        let id = api.submit(&json::job_spec_to_json(&spec)).unwrap();
+        let id = api.submit(&job_spec_to_json(&spec)).unwrap();
+        let mut streamed = Vec::new();
+        api.stream(id, &mut streamed).unwrap();
+        let expected: String = (0..2).map(|i| serial_line(&spec, i)).collect();
+        assert_eq!(String::from_utf8(streamed).unwrap(), expected);
+        api.shutdown().unwrap();
+        server.join();
+    }
+
+    #[test]
+    fn deeply_nested_body_gets_400_and_the_server_keeps_serving() {
+        let server = CampaignServer::start("127.0.0.1:0", fmt).unwrap();
+        let api = client::Client::new(&server.local_addr().to_string());
+        // 20 KB of `[`: a recursive parser without a depth bound
+        // overflows the connection thread's stack and aborts the process.
+        let err = api.submit(&"[".repeat(20_000)).unwrap_err();
+        assert!(err.contains("HTTP 400"), "got: {err}");
+        assert!(err.contains("MAX_DEPTH"), "got: {err}");
+
+        let spec = tiny_spec();
+        let id = api.submit(&job_spec_to_json(&spec)).unwrap();
         let mut streamed = Vec::new();
         api.stream(id, &mut streamed).unwrap();
         let expected: String = (0..2).map(|i| serial_line(&spec, i)).collect();
@@ -1456,7 +1476,7 @@ mod tests {
         assert!(api.healthz().unwrap().contains("true"));
 
         let spec = tiny_spec();
-        let body = json::job_spec_to_json(&spec);
+        let body = job_spec_to_json(&spec);
         let id = api.submit(&body).unwrap();
         let mut streamed = Vec::new();
         api.stream(id, &mut streamed).unwrap();

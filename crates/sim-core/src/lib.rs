@@ -17,6 +17,8 @@
 //!   experiment is reproducible from a single seed.
 //! * [`check`] — a miniature deterministic property-testing harness built
 //!   on [`rng`].
+//! * [`json`] — the one JSON codec: a depth-bounded, strict RFC 8259
+//!   parser with typed errors, and the one string escaper.
 //! * [`snap`] — bounds-checked little-endian encode/decode primitives
 //!   for the versioned machine-snapshot format.
 //! * [`size`] — human-friendly byte sizes.
@@ -48,6 +50,7 @@
 pub mod addr;
 pub mod check;
 pub mod clock;
+pub mod json;
 pub mod mem;
 pub mod rng;
 pub mod size;

@@ -240,8 +240,9 @@ stage_server_smoke() {
     # End-to-end over real sockets: start the campaign daemon on an
     # ephemeral port, submit two overlapping jobs, cancel one mid-run,
     # stream the other and require its NDJSON byte-identical to a serial
-    # `campaign --json --jobs 1` run, then shut the server down remotely
-    # and demand a clean exit (leak-free thread teardown).
+    # `campaign --json --jobs 1` run, require a 400 for a deeply nested
+    # body and a served request after it, then shut the server down
+    # remotely and demand a clean exit (leak-free thread teardown).
     local tmpdir sim addr server_pid
     tmpdir="$(mktemp -d)"
     # shellcheck disable=SC2064  # expand tmpdir now, not at trap time
@@ -279,6 +280,23 @@ stage_server_smoke() {
     "$sim" campaign --scenarios micro --seeds 4 --attempts 2 --bits 4 \
         --jobs 1 --json >"$tmpdir/serial.ndjson" 2>/dev/null
     run cmp "$tmpdir/serial.ndjson" "$tmpdir/streamed.ndjson"
+
+    # A body of 20,000 `[` must get a 400 from the JSON depth bound, not
+    # overflow a connection thread's stack; the status call after it
+    # proves the server is still serving.
+    local nested_code
+    echo "==> POST /jobs with 20,000 '[' (want HTTP 400)"
+    nested_code=$(head -c 20000 /dev/zero | tr '\0' '[' \
+        | curl -s -o "$tmpdir/nested.json" -w '%{http_code}' \
+            -H 'Content-Type: application/json' --data-binary @- "http://$addr/jobs" \
+        || true)
+    if [ "$nested_code" != 400 ]; then
+        echo "server-smoke: nested body got HTTP '$nested_code', want 400" >&2
+        kill "$server_pid" 2>/dev/null || true
+        return 1
+    fi
+    cat "$tmpdir/nested.json"
+    echo
     run "$sim" client status --addr "$addr" --id "$victim_id"
 
     run "$sim" client shutdown --addr "$addr"
@@ -287,7 +305,8 @@ stage_server_smoke() {
         return 1
     fi
     echo "server-smoke: streamed NDJSON byte-identical to the serial run;" \
-        "mid-run cancel and remote shutdown exited cleanly"
+        "a 20,000-'[' body got a 400; mid-run cancel and remote shutdown" \
+        "exited cleanly"
 }
 
 stage_snapshot_roundtrip() {

@@ -10,8 +10,8 @@ use std::num::NonZeroUsize;
 use std::process::Command;
 
 use hh_server::client::Client;
-use hh_server::json::job_spec_to_json;
 use hh_server::CampaignServer;
+use hyperhammer::jobspec::job_spec_to_json;
 use hyperhammer::JobSpec;
 use hyperhammer_cli::commands::campaign_cell_line;
 
