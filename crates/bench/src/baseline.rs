@@ -535,4 +535,71 @@ mod tests {
         };
         assert!(diff(&quick, &full, DEFAULT_TOLERANCE).is_err());
     }
+
+    /// A one-record report whose `name` is the JSON literal `name`, as
+    /// another producer might write it.
+    fn report_naming(name: &str) -> String {
+        format!(
+            r#"{{"schema": {}, "quick": true, "records": [{{"name": {name}, "iters": 3, "ns_per_iter": 1e3, "flips_per_sec": -2.5, "scenario": "a\\b", "seed": 7}}]}}"#,
+            quote(SCHEMA)
+        )
+    }
+
+    #[test]
+    fn parser_handles_escapes_and_nesting() {
+        let report = BenchReport::parse(&report_naming(r#""q\"x\/y\u0041\n""#)).expect("parses");
+        assert_eq!(
+            report.records,
+            vec![BenchRecord {
+                name: "q\"x/yA\n".to_string(),
+                iters: 3,
+                ns_per_iter: 1000.0,
+                flips_per_sec: Some(-2.5),
+                scenario: "a\\b".to_string(),
+                seed: 7,
+                peak_rss_kib: None,
+            }]
+        );
+    }
+
+    #[test]
+    fn parser_pairs_surrogate_escapes() {
+        // `\ud83d\ude00` is 😀 (U+1F600); other producers may escape
+        // non-BMP strings this way even though quote() emits raw UTF-8.
+        let report = BenchReport::parse(&report_naming(r#""grin \ud83d\ude00!""#))
+            .expect("surrogate pair parses");
+        assert_eq!(report.records[0].name, "grin 😀!");
+        // The BMP boundary cases stay plain scalars.
+        let report =
+            BenchReport::parse(&report_naming(r#""\ud7ff\ue000""#)).expect("BMP neighbours parse");
+        assert_eq!(report.records[0].name, "\u{d7ff}\u{e000}");
+    }
+
+    #[test]
+    fn parser_rejects_lone_and_reversed_surrogates() {
+        for bad in [
+            r#""\ud83d""#,       // lone high at end of string
+            r#""\ud83d rest""#,  // high followed by plain text
+            r#""\ud83d\u0041""#, // high followed by non-surrogate escape
+            r#""\ude00""#,       // lone low
+            r#""\ude00\ud83d""#, // reversed pair
+        ] {
+            let err = BenchReport::parse(&report_naming(bad)).expect_err(bad);
+            assert!(err.contains("surrogate"), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn non_bmp_strings_round_trip_through_quote_and_parse() {
+        let original = "name 😀 \u{10FFFF} plain";
+        let report = BenchReport {
+            quick: true,
+            records: vec![record(original, 1.0)],
+        };
+        let text = report.to_json();
+        // quote() writes non-BMP scalars as raw UTF-8, not as escapes.
+        assert!(text.contains(&quote(original)), "{text}");
+        assert!(quote(original).contains(original));
+        assert_eq!(BenchReport::parse(&text).expect("round-trips"), report);
+    }
 }

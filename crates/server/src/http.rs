@@ -492,4 +492,15 @@ mod tests {
             "{text}"
         );
     }
+
+    #[test]
+    fn json_escape_handles_specials() {
+        let body = |msg: &str| {
+            let resp = error_response(&ParseError::BadRequest(msg.to_string())).unwrap();
+            String::from_utf8(resp.body).unwrap()
+        };
+        assert_eq!(body("plain"), "{\"error\": \"plain\"}");
+        assert_eq!(body("a\"b\\c\nd"), "{\"error\": \"a\\\"b\\\\c\\nd\"}");
+        assert_eq!(body("\u{1}"), "{\"error\": \"\\u0001\"}");
+    }
 }

@@ -473,13 +473,17 @@ mod tests {
         Err(JsonError { offset, kind })
     }
 
-    /// The codec's behaviour, one row each: `parse` input and the value
-    /// or typed error it must produce, then `quote` input and the exact
-    /// literal it must produce (which must parse back to the input).
+    /// Each row is a `parse` input and the value or typed error it must
+    /// produce.
+    fn check_rows(rows: Vec<(&str, Result<Json, JsonError>)>) {
+        for (input, want) in rows {
+            assert_eq!(parse(input), want, "parse({input:?})");
+        }
+    }
+
     #[test]
-    fn codec_table() {
-        let rows: Vec<(&str, Result<Json, JsonError>)> = vec![
-            // Nested documents, literals and numbers.
+    fn parses_nested_documents() {
+        check_rows(vec![
             (
                 r#"{"a": [1, 2.5, -3], "b": {"c": "x\ny"}, "d": null, "e": true}"#,
                 Ok(obj(vec![
@@ -507,24 +511,12 @@ mod tests {
             ("-0", Ok(num("-0"))),
             ("0.5E-07", Ok(num("0.5E-07"))),
             ("1.5e+300", Ok(num("1.5e+300"))),
-            // Every simple escape; `\u` escapes of BMP scalars, including
-            // the surrogate range's neighbours.
-            (
-                r#""\"\\\/\b\f\n\r\tAé""#,
-                Ok(text("\"\\/\u{8}\u{c}\n\r\tAé")),
-            ),
-            ("\"\\ud7ff\\ue000\"", Ok(text("\u{d7ff}\u{e000}"))),
-            // A surrogate pair decodes to one supplementary scalar.
-            ("\"grin \\ud83d\\ude00!\"", Ok(text("grin \u{1f600}!"))),
-            ("\"\\udbff\\udfff\"", Ok(text("\u{10FFFF}"))),
-            // Lone and reversed surrogates are errors (the server's old
-            // parser turned them into U+FFFD).
-            (r#""\ud83d""#, err(LoneSurrogate, 1)),
-            (r#""\ud83d rest""#, err(LoneSurrogate, 1)),
-            (r#""\ud83d\u0041""#, err(LoneSurrogate, 1)),
-            (r#""\ude00""#, err(LoneSurrogate, 1)),
-            (r#""\ude00\ud83d""#, err(LoneSurrogate, 1)),
-            (r#""ok \ud83d\ud83d""#, err(LoneSurrogate, 4)),
+        ]);
+    }
+
+    #[test]
+    fn rejects_garbage() {
+        check_rows(vec![
             // Numbers outside the RFC 8259 grammar.
             ("01", err(InvalidNumber, 0)),
             ("1.", err(InvalidNumber, 0)),
@@ -548,19 +540,44 @@ mod tests {
             (r#"{"a" 1}"#, err(Expected("':'"), 5)),
             ("{1: 2}", err(Expected("a string key"), 1)),
             (r#"{"a": 1,}"#, err(Expected("a string key"), 8)),
-            ("\"unterminated", err(UnexpectedEnd, 13)),
             ("tru", err(InvalidLiteral, 0)),
             ("nulL", err(InvalidLiteral, 0)),
+        ]);
+    }
+
+    /// The string codec: `parse` rows for escapes and surrogates, then
+    /// `quote` input and the exact literal it must produce (which must
+    /// parse back to the input).
+    #[test]
+    fn codec_table() {
+        check_rows(vec![
+            // Every simple escape; `\u` escapes of BMP scalars, including
+            // the surrogate range's neighbours.
+            (
+                r#""\"\\\/\b\f\n\r\tAé""#,
+                Ok(text("\"\\/\u{8}\u{c}\n\r\tAé")),
+            ),
+            ("\"\\ud7ff\\ue000\"", Ok(text("\u{d7ff}\u{e000}"))),
+            // A surrogate pair decodes to one supplementary scalar.
+            ("\"grin \\ud83d\\ude00!\"", Ok(text("grin \u{1f600}!"))),
+            ("\"\\udbff\\udfff\"", Ok(text("\u{10FFFF}"))),
+            // Lone and reversed surrogates are errors (the server's old
+            // parser turned them into U+FFFD).
+            (r#""\ud83d""#, err(LoneSurrogate, 1)),
+            (r#""\ud83d rest""#, err(LoneSurrogate, 1)),
+            (r#""\ud83d\u0041""#, err(LoneSurrogate, 1)),
+            (r#""\ude00""#, err(LoneSurrogate, 1)),
+            (r#""\ude00\ud83d""#, err(LoneSurrogate, 1)),
+            (r#""ok \ud83d\ud83d""#, err(LoneSurrogate, 4)),
+            // Malformed strings.
+            ("\"unterminated", err(UnexpectedEnd, 13)),
             (r#""\x""#, err(InvalidEscape, 1)),
             (r#""\u12g4""#, err(InvalidEscape, 1)),
             (r#""\u+123""#, err(InvalidEscape, 1)),
             ("\"\\u12", err(InvalidEscape, 1)),
             ("\"\\", err(UnexpectedEnd, 2)),
             ("\"a\nb\"", err(ControlCharacter, 2)),
-        ];
-        for (input, want) in rows {
-            assert_eq!(parse(input), want, "parse({input:?})");
-        }
+        ]);
 
         let quoted = [
             ("plain", r#""plain""#),
