@@ -353,9 +353,9 @@ fn bench_server(c: &mut Criterion) {
     // The mechanism behind the gap is deterministic even when the
     // wall clock is not: every job after the priming one must hit the
     // template cache.
-    use hh_trace::Counter;
-    let misses = warm.counter(Counter::ServerTemplateMisses);
-    let hits = warm.counter(Counter::ServerTemplateHits);
+    use hh_server::ServerCounter;
+    let misses = warm.counter(ServerCounter::TemplateMisses);
+    let hits = warm.counter(ServerCounter::TemplateHits);
     assert_eq!(misses, 1, "only the priming job may build a template");
     assert!(hits >= timings as u64, "warm jobs must hit the cache");
 

@@ -4,7 +4,6 @@ use std::collections::HashMap;
 use std::fmt;
 
 use hh_sim::addr::Pfn;
-use hh_sim::snap::{Dec, Enc, SnapError};
 use hh_trace::Tracer;
 
 use crate::free_list::FreeList;
@@ -79,18 +78,6 @@ impl AllocJitter {
             rate,
             calls: 0,
         }
-    }
-
-    /// The number of jitter decisions drawn so far. Part of a machine
-    /// snapshot: the decision for call `n` is pure in `(seed, n)`, so
-    /// restoring the call counter resumes the fault stream exactly.
-    pub fn calls(&self) -> u64 {
-        self.calls
-    }
-
-    /// Restores the decision counter captured by [`AllocJitter::calls`].
-    pub fn set_calls(&mut self, calls: u64) {
-        self.calls = calls;
     }
 
     /// Draws the next decision: `true` means this call fails.
@@ -187,166 +174,6 @@ pub struct BuddySnapshot {
     allocated: HashMap<u64, (u8, MigrateType)>,
     pcp: PcpCache,
     stats: AllocStats,
-}
-
-impl BuddySnapshot {
-    /// Total frames the snapshotted zone manages.
-    pub fn total_frames(&self) -> u64 {
-        self.frames
-    }
-
-    /// Serializes the snapshot into the machine-snapshot byte stream.
-    ///
-    /// Free lists are written in stack order (bottom→top) so the LIFO
-    /// reuse order — the property hammer-plan physical layout depends
-    /// on — survives the round trip. The two block indexes are hash
-    /// maps; their entries are sorted by base PFN so identical states
-    /// always produce identical bytes.
-    pub fn encode_into(&self, enc: &mut Enc) {
-        enc.u64(self.frames);
-        for per_order in &self.free {
-            for list in per_order {
-                enc.u64(list.len() as u64);
-                for pfn in list.iter() {
-                    enc.u64(pfn);
-                }
-            }
-        }
-        for map in [&self.free_index, &self.allocated] {
-            let mut entries: Vec<(u64, u8, MigrateType)> = map
-                .iter()
-                .map(|(&pfn, &(order, mt))| (pfn, order, mt))
-                .collect();
-            entries.sort_unstable_by_key(|e| e.0);
-            enc.u64(entries.len() as u64);
-            for (pfn, order, mt) in entries {
-                enc.u64(pfn);
-                enc.u8(order);
-                enc.u8(mt.index() as u8);
-            }
-        }
-        let pcp_config = self.pcp.config();
-        enc.u64(pcp_config.high as u64);
-        enc.u64(pcp_config.batch as u64);
-        for mt in MigrateType::ALL {
-            enc.u64(self.pcp.lane_iter(mt).count() as u64);
-            for pfn in self.pcp.lane_iter(mt) {
-                enc.u64(pfn);
-            }
-        }
-        let s = self.stats;
-        for v in [
-            s.allocs,
-            s.frees,
-            s.splits,
-            s.merges,
-            s.steals,
-            s.pcp_hits,
-            s.pcp_refills,
-        ] {
-            enc.u64(v);
-        }
-    }
-
-    /// Decodes a snapshot written by [`BuddySnapshot::encode_into`].
-    ///
-    /// # Errors
-    ///
-    /// Typed [`SnapError`]s for truncation and structural corruption
-    /// (PFNs beyond the zone, duplicate free-list entries, unsorted
-    /// index keys, unknown migrate-type tags). Never panics on corrupt
-    /// input.
-    pub fn decode(dec: &mut Dec<'_>) -> Result<Self, SnapError> {
-        let frames = dec.u64()?;
-        if frames == 0 {
-            return Err(SnapError::Corrupt("zero-frame buddy zone"));
-        }
-        let mut free: [[FreeList; MAX_ORDER as usize]; 2] = Default::default();
-        for per_order in free.iter_mut() {
-            for list in per_order.iter_mut() {
-                let count = dec.count(8)?;
-                for _ in 0..count {
-                    let pfn = dec.u64()?;
-                    if pfn >= frames {
-                        return Err(SnapError::Corrupt("free-list pfn beyond zone"));
-                    }
-                    if list.contains(pfn) {
-                        return Err(SnapError::Corrupt("duplicate pfn on free list"));
-                    }
-                    list.push(pfn);
-                }
-            }
-        }
-        let mut maps = [HashMap::new(), HashMap::new()];
-        for map in maps.iter_mut() {
-            let count = dec.count(10)?;
-            let mut last: Option<u64> = None;
-            for _ in 0..count {
-                let pfn = dec.u64()?;
-                let order = dec.u8()?;
-                let mt = mt_from_tag(dec.u8()?)?;
-                if order >= MAX_ORDER {
-                    return Err(SnapError::Corrupt("block order beyond MAX_ORDER"));
-                }
-                if last.is_some_and(|prev| prev >= pfn) {
-                    return Err(SnapError::Corrupt(
-                        "block index keys not strictly increasing",
-                    ));
-                }
-                last = Some(pfn);
-                map.insert(pfn, (order, mt));
-            }
-        }
-        let [free_index, allocated] = maps;
-        let high = dec.u64()?;
-        let batch = dec.u64()?;
-        let mut pcp = PcpCache::new(PcpConfig {
-            high: usize::try_from(high).map_err(|_| SnapError::Corrupt("pcp high overflow"))?,
-            batch: usize::try_from(batch).map_err(|_| SnapError::Corrupt("pcp batch overflow"))?,
-        });
-        for mt in MigrateType::ALL {
-            let count = dec.count(8)?;
-            for _ in 0..count {
-                let pfn = dec.u64()?;
-                if pfn >= frames {
-                    return Err(SnapError::Corrupt("pcp pfn beyond zone"));
-                }
-                if pcp.contains(mt, pfn) {
-                    return Err(SnapError::Corrupt("duplicate pfn in pcp lane"));
-                }
-                pcp.push_free(mt, pfn);
-            }
-        }
-        let mut scalars = [0u64; 7];
-        for slot in scalars.iter_mut() {
-            *slot = dec.u64()?;
-        }
-        let stats = AllocStats {
-            allocs: scalars[0],
-            frees: scalars[1],
-            splits: scalars[2],
-            merges: scalars[3],
-            steals: scalars[4],
-            pcp_hits: scalars[5],
-            pcp_refills: scalars[6],
-        };
-        Ok(Self {
-            frames,
-            free,
-            free_index,
-            allocated,
-            pcp,
-            stats,
-        })
-    }
-}
-
-fn mt_from_tag(tag: u8) -> Result<MigrateType, SnapError> {
-    match tag {
-        0 => Ok(MigrateType::Unmovable),
-        1 => Ok(MigrateType::Movable),
-        _ => Err(SnapError::Corrupt("unknown migrate-type tag")),
-    }
 }
 
 /// A single-zone buddy allocator with two migration types and a per-CPU
@@ -519,34 +346,6 @@ impl BuddyAllocator {
     /// stays reliable.
     pub fn set_alloc_jitter(&mut self, jitter: Option<AllocJitter>) {
         self.jitter = jitter;
-    }
-
-    /// The installed jitter source, if any. Its draw counter is part of
-    /// a machine snapshot (decisions are pure in `(seed, call index)`).
-    pub fn alloc_jitter(&self) -> Option<&AllocJitter> {
-        self.jitter.as_ref()
-    }
-
-    /// Mutable access to the installed jitter source (snapshot restore
-    /// puts the draw counter back).
-    pub fn alloc_jitter_mut(&mut self) -> Option<&mut AllocJitter> {
-        self.jitter.as_mut()
-    }
-
-    /// A clone for machine forking: all page state, stats and the
-    /// jitter stream position carry over; the fork gets a detached
-    /// tracer so its churn reports nowhere until one is attached.
-    pub fn fork(&self) -> Self {
-        Self {
-            frames: self.frames,
-            free: self.free.clone(),
-            free_index: self.free_index.clone(),
-            allocated: self.allocated.clone(),
-            pcp: self.pcp.clone(),
-            stats: self.stats,
-            tracer: Tracer::off(),
-            jitter: self.jitter.clone(),
-        }
     }
 
     /// Total frames managed.
@@ -1120,7 +919,7 @@ mod tests {
         let a2 = b.alloc(4, MigrateType::Unmovable).unwrap();
         b.free(a1, 0);
         b.free(a2, 4);
-        assert_eq!(b.free_pages(), snap.total_frames());
+        assert_eq!(b.free_pages(), frames(8));
         assert_ne!(
             b.free_state_digest(),
             digest,
@@ -1138,70 +937,6 @@ mod tests {
                 "order-{order} alloc diverged after free-state restore"
             );
         }
-    }
-
-    #[test]
-    fn snapshot_binary_encoding_is_canonical_and_round_trips() {
-        let mut b = BuddyAllocator::new(frames(16));
-        // Dirty every serialized component: held blocks, PCP lanes,
-        // split/steal traffic.
-        let _held = b.alloc(3, MigrateType::Unmovable).unwrap();
-        let p = b.alloc_page(MigrateType::Movable).unwrap();
-        b.free_page(p);
-        let snap = b.snapshot();
-
-        let mut enc = Enc::new();
-        snap.encode_into(&mut enc);
-        let bytes = enc.into_bytes();
-        let mut dec = Dec::new(&bytes);
-        let decoded = BuddySnapshot::decode(&mut dec).unwrap();
-        dec.finish().unwrap();
-
-        let restored = BuddyAllocator::from_snapshot(&decoded);
-        assert_eq!(restored.free_state_digest(), b.free_state_digest());
-        assert_eq!(restored.stats(), b.stats());
-        assert_eq!(restored.free_pages(), b.free_pages());
-
-        // Canonical: decoding and re-encoding reproduces the bytes.
-        let mut enc2 = Enc::new();
-        decoded.encode_into(&mut enc2);
-        assert_eq!(enc2.into_bytes(), bytes);
-    }
-
-    #[test]
-    fn corrupt_snapshot_bytes_are_typed_errors_not_panics() {
-        let b = BuddyAllocator::new(frames(8));
-        let mut enc = Enc::new();
-        b.snapshot().encode_into(&mut enc);
-        let bytes = enc.into_bytes();
-
-        // Every truncation point decodes to an error, never a panic.
-        for len in 0..bytes.len() {
-            let mut dec = Dec::new(&bytes[..len]);
-            assert!(
-                BuddySnapshot::decode(&mut dec).is_err(),
-                "truncation at {len} must fail"
-            );
-        }
-
-        // An out-of-zone PFN in the first non-empty free list.
-        let mut evil = bytes.clone();
-        // frames(8) zone: first populated list entry follows some empty
-        // list counts; find the first nonzero count and poison its pfn.
-        let mut off = 8; // skip frames
-        loop {
-            let count = u64::from_le_bytes(evil[off..off + 8].try_into().unwrap());
-            off += 8;
-            if count > 0 {
-                evil[off..off + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-                break;
-            }
-        }
-        let mut dec = Dec::new(&evil);
-        assert_eq!(
-            BuddySnapshot::decode(&mut dec).err(),
-            Some(SnapError::Corrupt("free-list pfn beyond zone"))
-        );
     }
 
     #[test]

@@ -3,11 +3,18 @@
 //! The kernel's `free_area` lists are intrusive doubly-linked lists with
 //! head insertion and head removal, giving LIFO reuse (recently freed
 //! blocks are allocated first) plus O(1) removal of an arbitrary block
-//! when its buddy coalesces. This structure reproduces both properties
-//! with a Vec-as-stack plus a position index.
+//! when its buddy coalesces. This structure approximates both with a
+//! Vec-as-stack plus a position index.
 //!
 //! LIFO reuse is load-bearing for the reproduction: Page Steering counts
 //! on the hypervisor re-using the sub-blocks the VM *just* released.
+//!
+//! **Deviation from the kernel.** [`FreeList::remove`] fills the hole
+//! with the stack top instead of unlinking in place, so once a buddy
+//! coalesce has removed a block from the middle, the most recently
+//! freed block is no longer the next one [`FreeList::pop`] returns.
+//! Push and pop alone are exact LIFO. ROADMAP item 2(a) replaces this
+//! with an order-preserving intrusive list.
 
 use std::collections::HashMap;
 
@@ -37,7 +44,9 @@ impl FreeList {
         Some(base)
     }
 
-    /// Removes a specific block (buddy coalescing path).
+    /// Removes a specific block (buddy coalescing path). The stack top
+    /// moves into the freed slot, which breaks LIFO order for the
+    /// blocks that remain (see the module docs).
     ///
     /// Returns `true` if the block was present.
     pub fn remove(&mut self, base: u64) -> bool {

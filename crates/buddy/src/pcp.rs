@@ -59,17 +59,6 @@ impl PcpCache {
         self.config.batch > 0
     }
 
-    /// The sizing parameters the cache was built with (snapshot hook).
-    pub fn config(&self) -> PcpConfig {
-        self.config
-    }
-
-    /// Whether `base` is parked in the given lane (snapshot decoding
-    /// rejects duplicate entries before pushing them).
-    pub fn contains(&self, mt: MigrateType, base: u64) -> bool {
-        self.lists[mt.index()].contains(base)
-    }
-
     pub fn batch(&self) -> usize {
         self.config.batch
     }

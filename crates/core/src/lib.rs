@@ -27,9 +27,8 @@
 //! [`analysis`] implements the paper's §5.3 success-probability
 //! model, [`balloon_steering`] completes the §6 virtio-balloon variant the
 //! paper leaves to future work, [`machine`] provides the S1/S2/S3
-//! evaluation presets, and [`snapshot`] serializes mid-campaign machines
-//! to the versioned `hyperhammer-snap-v1` format for checkpoint/resume
-//! and copy-on-write forking.
+//! evaluation presets, and [`template`] stamps out each campaign cell's
+//! machine from a per-scenario [`MachineTemplate`].
 //!
 //! # Quickstart
 //!
@@ -59,7 +58,6 @@ pub mod jobspec;
 pub mod machine;
 pub mod parallel;
 pub mod profile;
-pub mod snapshot;
 pub mod steering;
 pub mod streamref;
 pub mod template;
@@ -71,6 +69,5 @@ pub use jobspec::JobSpec;
 pub use machine::{AttackVariant, Scenario};
 pub use parallel::{CampaignGrid, CancelToken, CellResult};
 pub use profile::{FlipCatalog, ProfileReport, ProfileTables, Profiler};
-pub use snapshot::{Machine, SNAP_MAGIC, SNAP_VERSION};
 pub use steering::{PageSteering, RetryPolicy};
 pub use template::MachineTemplate;

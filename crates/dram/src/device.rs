@@ -14,7 +14,6 @@ use std::sync::Arc;
 
 use hh_sim::addr::Hpa;
 use hh_sim::rng::SimRng;
-use hh_sim::snap::{Dec, Enc, SnapError};
 use hh_trace::Tracer;
 
 use crate::fault::{sample_row_cells, DimmProfile, FlipDirection, VulnerableCell};
@@ -217,100 +216,6 @@ impl DramDevice {
     /// captured before an operation to see what that operation changed.
     pub fn flip_journal(&self) -> &[FlipEvent] {
         &self.journal
-    }
-
-    /// Serializes the device's mutable state into a snapshot stream:
-    /// memory contents, RNG position, flip journal, and the activation
-    /// counter. The vulnerability profile and both caches are pure
-    /// functions of the construction `(profile, seed)` pair and are
-    /// rebuilt lazily after [`restore_state`](Self::restore_state).
-    pub fn encode_state_into(&self, enc: &mut Enc) {
-        self.store.encode_into(enc);
-        for w in self.rng.state() {
-            enc.u64(w);
-        }
-        enc.u64(self.journal.len() as u64);
-        for f in &self.journal {
-            enc.u64(f.hpa.raw());
-            enc.u8(f.bit);
-            enc.u8(match f.direction {
-                FlipDirection::OneToZero => 0,
-                FlipDirection::ZeroToOne => 1,
-            });
-            enc.u32(f.bank);
-            enc.u64(f.row);
-        }
-        enc.u64(self.total_activations);
-    }
-
-    /// Restores state captured by [`encode_state_into`](Self::encode_state_into)
-    /// onto a device constructed with the **same** profile and seed.
-    /// On success the device is bit-identical to the one that was
-    /// snapshotted (the caches refill deterministically on demand); on
-    /// error the device is left unchanged.
-    pub fn restore_state(&mut self, dec: &mut Dec<'_>) -> Result<(), SnapError> {
-        let store = SparseStore::decode(dec)?;
-        if store.size() != self.profile.geometry.size_bytes() {
-            return Err(SnapError::Corrupt("store size does not match geometry"));
-        }
-        let mut state = [0u64; 4];
-        for w in &mut state {
-            *w = dec.u64()?;
-        }
-        if state.iter().all(|&w| w == 0) {
-            return Err(SnapError::Corrupt("all-zero rng state"));
-        }
-        // hpa u64 + bit u8 + direction u8 + bank u32 + row u64 = 22 bytes.
-        let flips = dec.count(22)?;
-        let mut journal = Vec::with_capacity(flips);
-        for _ in 0..flips {
-            let hpa = Hpa::new(dec.u64()?);
-            if !self.profile.geometry.contains(hpa) {
-                return Err(SnapError::Corrupt("flip event outside device"));
-            }
-            let bit = dec.u8()?;
-            if bit > 7 {
-                return Err(SnapError::Corrupt("flip bit beyond byte"));
-            }
-            let direction = match dec.u8()? {
-                0 => FlipDirection::OneToZero,
-                1 => FlipDirection::ZeroToOne,
-                _ => return Err(SnapError::Corrupt("unknown flip direction")),
-            };
-            journal.push(FlipEvent {
-                hpa,
-                bit,
-                direction,
-                bank: dec.u32()?,
-                row: dec.u64()?,
-            });
-        }
-        let total_activations = dec.u64()?;
-        self.store = store;
-        self.rng = SimRng::from_state(state);
-        self.journal = journal;
-        self.total_activations = total_activations;
-        self.row_cache.clear();
-        self.plan_cache = PlanCache::with_capacity(self.plan_cache.capacity());
-        Ok(())
-    }
-
-    /// A copy-on-write clone for machine forking: the backing store
-    /// shares untouched pages with `self` (they unshare on first write),
-    /// the RNG and journal continue from the current position, and the
-    /// fork gets its own cold plan cache and a detached tracer.
-    pub fn fork(&self) -> Self {
-        Self {
-            profile: self.profile.clone(),
-            store: self.store.clone(),
-            fault_seed: self.fault_seed,
-            rng: self.rng.clone(),
-            journal: self.journal.clone(),
-            row_cache: self.row_cache.clone(),
-            plan_cache: PlanCache::with_capacity(self.plan_cache.capacity()),
-            total_activations: self.total_activations,
-            tracer: Tracer::off(),
-        }
     }
 
     /// The vulnerable cells of `row` (sampled lazily, cached).
@@ -947,99 +852,6 @@ mod tests {
             dev.hammer(&pattern, 400_000).flips
         };
         assert_eq!(run(), run());
-    }
-
-    /// A device with accumulated state: filled memory, flips in the
-    /// journal, RNG advanced past its seed position.
-    fn hammered_device() -> DramDevice {
-        let mut dev = DramDevice::new(DimmProfile::test_profile(64 << 20), 777);
-        dev.fill(Hpa::new(0), 64 << 20, 0xff);
-        let pattern = HammerPattern::single_sided_for(dev.geometry(), 4, 10);
-        dev.hammer(&pattern, 400_000);
-        dev
-    }
-
-    #[test]
-    fn snapshot_restores_a_bit_identical_device() {
-        let mut original = hammered_device();
-        let mut enc = Enc::new();
-        original.encode_state_into(&mut enc);
-        let bytes = enc.into_bytes();
-
-        let mut restored = DramDevice::new(DimmProfile::test_profile(64 << 20), 777);
-        let mut dec = Dec::new(&bytes);
-        restored.restore_state(&mut dec).expect("valid snapshot");
-        dec.finish().expect("no trailing bytes");
-
-        assert_eq!(restored.store(), original.store());
-        assert_eq!(restored.flip_journal(), original.flip_journal());
-        assert_eq!(restored.total_activations(), original.total_activations());
-
-        // The RNG must continue on the same stream: hammering both
-        // devices from here yields identical stochastic outcomes.
-        let pattern = HammerPattern::single_sided_for(original.geometry(), 2, 20);
-        for _ in 0..4 {
-            assert_eq!(
-                original.hammer(&pattern, 400_000),
-                restored.hammer(&pattern, 400_000)
-            );
-        }
-        assert_eq!(restored.store(), original.store());
-    }
-
-    #[test]
-    fn fork_shares_pages_and_then_diverges() {
-        let mut parent = hammered_device();
-        let mut child = parent.fork();
-        assert_eq!(child.store(), parent.store());
-        assert!(child.store().shared_pages() > 0, "fork should be CoW");
-
-        // Divergent hammering after the fork affects only one side.
-        let pattern = HammerPattern::single_sided_for(parent.geometry(), 5, 30);
-        let parent_before = parent.store().clone();
-        child.hammer(&pattern, 400_000);
-        assert_eq!(parent.store(), &parent_before);
-
-        // Both sides inherit the same RNG position, so the same bursts
-        // produce the same flips.
-        let mut twin = parent.fork();
-        assert_eq!(
-            parent.hammer(&pattern, 400_000),
-            twin.hammer(&pattern, 400_000)
-        );
-    }
-
-    #[test]
-    fn corrupt_device_bytes_are_typed_errors_not_panics() {
-        let original = hammered_device();
-        let mut enc = Enc::new();
-        original.encode_state_into(&mut enc);
-        let bytes = enc.into_bytes();
-
-        // Sample truncation points (every length would be quadratic in
-        // the multi-KiB snapshot); always include both edges.
-        let pristine = DramDevice::new(DimmProfile::test_profile(64 << 20), 777);
-        let lens = (0..bytes.len())
-            .step_by(97)
-            .chain([bytes.len().saturating_sub(1)]);
-        for len in lens {
-            let mut dev = DramDevice::new(DimmProfile::test_profile(64 << 20), 777);
-            let mut dec = Dec::new(&bytes[..len]);
-            let err = dev
-                .restore_state(&mut dec)
-                .expect_err("truncated snapshot must fail");
-            let _ = err.to_string();
-            // A failed restore leaves the device untouched.
-            assert_eq!(dev.store(), pristine.store());
-        }
-
-        // A snapshot from a differently sized device is rejected.
-        let mut small = DramDevice::new(DimmProfile::test_profile(32 << 20), 777);
-        let mut dec = Dec::new(&bytes);
-        assert_eq!(
-            small.restore_state(&mut dec).err(),
-            Some(SnapError::Corrupt("store size does not match geometry"))
-        );
     }
 }
 

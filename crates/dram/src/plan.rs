@@ -249,11 +249,6 @@ impl PlanCache {
         }
     }
 
-    /// The maximum number of resident plans.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Looks up the plan for `aggressors`, refreshing its LRU position.
     /// Counts a miss when absent.
     pub fn get(&mut self, aggressors: &[Hpa]) -> Option<Arc<HammerPlan>> {

@@ -16,10 +16,8 @@
 //! rather than an actual byte loop.
 
 use std::fmt;
-use std::sync::Arc;
 
 use hh_sim::addr::{Hpa, PAGE_SIZE};
-use hh_sim::snap::{Dec, Enc, SnapError};
 
 const DENSE_THRESHOLD: usize = 64;
 
@@ -249,13 +247,10 @@ pub struct SparseStore {
     /// vector beats a hash map here because the attack stamps and scans
     /// millions of pages sequentially — locality is everything.
     ///
-    /// Pages sit behind `Arc` so [`Clone`] is copy-on-write at page
-    /// granularity: forking a machine copies one pointer per slot, and
-    /// [`SparseStore::slot_mut`] unshares (`Arc::make_mut`) only the
-    /// pages a fork actually writes. That is what makes fanning one
-    /// profiled host out into thousands of divergent campaign cells
-    /// affordable.
-    pages: Vec<Option<Arc<Page>>>,
+    /// Pages are boxed so a slot stays one pointer wide: an inline
+    /// `Page` would make the slot vector about four times larger on
+    /// hosts with millions of frames, nearly all of them untouched.
+    pages: Vec<Option<Box<Page>>>,
     resident: usize,
     size: u64,
 }
@@ -517,131 +512,14 @@ impl SparseStore {
         self.resident
     }
 
-    /// Number of materialized pages whose backing is still shared with
-    /// another store (fork accounting in tests: a fresh fork shares
-    /// everything; each write unshares exactly one page).
-    pub fn shared_pages(&self) -> usize {
-        self.pages
-            .iter()
-            .flatten()
-            .filter(|arc| Arc::strong_count(arc) > 1)
-            .count()
-    }
-
-    /// Serializes the store into the machine-snapshot byte stream: the
-    /// size, then one tagged record per page slot (absent / uniform /
-    /// patched / dense). Patch lists keep their in-memory order — it is
-    /// observable through the mismatch scan — so identical stores always
-    /// produce identical bytes.
-    pub fn encode_into(&self, enc: &mut Enc) {
-        enc.u64(self.size);
-        for slot in &self.pages {
-            match slot.as_deref() {
-                None => enc.u8(0),
-                Some(Page::Uniform(fill)) => {
-                    enc.u8(1);
-                    enc.u8(*fill);
-                }
-                Some(Page::Patched { fill, diffs }) => {
-                    enc.u8(2);
-                    enc.u8(*fill);
-                    enc.u64(diffs.len() as u64);
-                    for &(offset, value) in diffs {
-                        enc.u32(u32::from(offset));
-                        enc.u8(value);
-                    }
-                }
-                Some(Page::Dense(bytes)) => {
-                    enc.u8(3);
-                    enc.raw(bytes.as_slice());
-                }
-            }
-        }
-    }
-
-    /// Decodes a store written by [`SparseStore::encode_into`].
-    ///
-    /// # Errors
-    ///
-    /// Typed [`SnapError`]s for truncation and corruption (unaligned or
-    /// absurd sizes, unknown page tags, out-of-page patch offsets,
-    /// patches equal to their fill — the compactness invariant). The
-    /// page count is validated against the remaining input before the
-    /// slot vector is allocated.
-    pub fn decode(dec: &mut Dec<'_>) -> Result<Self, SnapError> {
-        let size = dec.u64()?;
-        if size == 0 || size % PAGE_SIZE != 0 {
-            return Err(SnapError::Corrupt("store size not page-aligned"));
-        }
-        let page_count = size / PAGE_SIZE;
-        // Every page costs at least its 1-byte tag, so a size the
-        // remaining input cannot cover is corrupt — reject before
-        // allocating the slot vector.
-        if page_count > dec.remaining() as u64 {
-            return Err(SnapError::Truncated {
-                needed: page_count,
-                available: dec.remaining() as u64,
-            });
-        }
-        let mut pages: Vec<Option<Arc<Page>>> = Vec::with_capacity(page_count as usize);
-        let mut resident = 0usize;
-        for _ in 0..page_count {
-            let page = match dec.u8()? {
-                0 => None,
-                1 => Some(Page::Uniform(dec.u8()?)),
-                2 => {
-                    let fill = dec.u8()?;
-                    let count = dec.count(5)?;
-                    if count > DENSE_THRESHOLD {
-                        return Err(SnapError::Corrupt("patched page beyond dense threshold"));
-                    }
-                    let mut diffs: Vec<(u16, u8)> = Vec::with_capacity(count);
-                    for _ in 0..count {
-                        let offset = dec.u32()?;
-                        let value = dec.u8()?;
-                        if u64::from(offset) >= PAGE_SIZE {
-                            return Err(SnapError::Corrupt("patch offset beyond page"));
-                        }
-                        let offset = offset as u16;
-                        if value == fill {
-                            return Err(SnapError::Corrupt("patch equals page fill"));
-                        }
-                        if diffs.iter().any(|&(o, _)| o == offset) {
-                            return Err(SnapError::Corrupt("duplicate patch offset"));
-                        }
-                        diffs.push((offset, value));
-                    }
-                    Some(Page::Patched { fill, diffs })
-                }
-                3 => {
-                    let raw = dec.raw(PAGE_SIZE as usize)?;
-                    let mut bytes = Box::new([0u8; PAGE_SIZE as usize]);
-                    bytes.copy_from_slice(raw);
-                    Some(Page::Dense(bytes))
-                }
-                _ => return Err(SnapError::Corrupt("unknown page tag")),
-            };
-            if page.is_some() {
-                resident += 1;
-            }
-            pages.push(page.map(Arc::new));
-        }
-        Ok(Self {
-            pages,
-            resident,
-            size,
-        })
-    }
-
     /// Mutable access to a slot, materializing a zero page on first
-    /// touch and unsharing a page another fork still references.
+    /// touch.
     fn slot_mut(&mut self, pfn: u64) -> &mut Page {
         let slot = &mut self.pages[pfn as usize];
         if slot.is_none() {
-            *slot = Some(Arc::new(Page::Uniform(0)));
             self.resident += 1;
         }
-        Arc::make_mut(slot.as_mut().expect("just materialized"))
+        slot.get_or_insert_with(|| Box::new(Page::Uniform(0)))
     }
 
     /// Replaces a slot wholesale.
@@ -650,7 +528,7 @@ impl SparseStore {
         if slot.is_none() {
             self.resident += 1;
         }
-        *slot = Some(Arc::new(page));
+        *slot = Some(Box::new(page));
     }
 }
 
@@ -982,92 +860,6 @@ mod tests {
             let got = mem.find_mismatches(Hpa::new(0), PAGE_SIZE, 0x00);
             assert_eq!(got, naive_mismatches(&mem, Hpa::new(0), PAGE_SIZE, 0x00));
         }
-    }
-
-    #[test]
-    fn clone_is_copy_on_write_at_page_level() {
-        let mut mem = SparseStore::new(1 << 16);
-        mem.fill(Hpa::new(0), 4 * PAGE_SIZE, 0x55);
-        let mut fork = mem.clone();
-        assert_eq!(fork.shared_pages(), 4, "a fresh fork shares every page");
-
-        // Writing in the fork unshares exactly the touched page and
-        // never disturbs the parent.
-        fork.write_u8(Hpa::new(PAGE_SIZE + 1), 0x99);
-        assert_eq!(fork.shared_pages(), 3);
-        assert_eq!(mem.shared_pages(), 3);
-        assert_eq!(mem.read_u8(Hpa::new(PAGE_SIZE + 1)), 0x55);
-        assert_eq!(fork.read_u8(Hpa::new(PAGE_SIZE + 1)), 0x99);
-
-        // Writes in the parent equally leave the fork alone.
-        mem.write_u8(Hpa::new(2 * PAGE_SIZE), 0x01);
-        assert_eq!(fork.read_u8(Hpa::new(2 * PAGE_SIZE)), 0x55);
-    }
-
-    #[test]
-    fn snapshot_encoding_round_trips_every_representation() {
-        let mut mem = SparseStore::new(1 << 16);
-        // Page 0 untouched, page 1 uniform, page 2 patched, page 3 dense.
-        mem.fill(Hpa::new(PAGE_SIZE), PAGE_SIZE, 0x55);
-        mem.fill(Hpa::new(2 * PAGE_SIZE), PAGE_SIZE, 0xaa);
-        mem.write_u8(Hpa::new(2 * PAGE_SIZE + 7), 0xab);
-        let mut dense = Box::new([0u8; PAGE_SIZE as usize]);
-        for (i, b) in dense.iter_mut().enumerate() {
-            *b = i as u8;
-        }
-        mem.write_page(Hpa::new(3 * PAGE_SIZE), dense);
-
-        let mut enc = Enc::new();
-        mem.encode_into(&mut enc);
-        let bytes = enc.into_bytes();
-        let mut dec = Dec::new(&bytes);
-        let decoded = SparseStore::decode(&mut dec).unwrap();
-        dec.finish().unwrap();
-        assert_eq!(decoded, mem);
-        assert_eq!(decoded.resident_pages(), mem.resident_pages());
-
-        // Canonical: re-encoding reproduces the bytes.
-        let mut enc2 = Enc::new();
-        decoded.encode_into(&mut enc2);
-        assert_eq!(enc2.into_bytes(), bytes);
-    }
-
-    #[test]
-    fn corrupt_store_bytes_are_typed_errors_not_panics() {
-        let mut mem = SparseStore::new(1 << 15);
-        mem.fill(Hpa::new(0), PAGE_SIZE, 0x11);
-        mem.write_u8(Hpa::new(3), 0x22);
-        let mut enc = Enc::new();
-        mem.encode_into(&mut enc);
-        let bytes = enc.into_bytes();
-
-        for len in 0..bytes.len() {
-            let mut dec = Dec::new(&bytes[..len]);
-            assert!(
-                SparseStore::decode(&mut dec).is_err(),
-                "truncation at {len} must fail"
-            );
-        }
-
-        // A size prefix claiming an absurd page count must be rejected
-        // before the slot vector is allocated.
-        let mut enc = Enc::new();
-        enc.u64(!(PAGE_SIZE - 1));
-        let huge = enc.into_bytes();
-        let mut dec = Dec::new(&huge);
-        assert!(matches!(
-            SparseStore::decode(&mut dec),
-            Err(SnapError::Truncated { .. })
-        ));
-
-        // An unknown page tag is corrupt, not a panic.
-        let mut evil = bytes.clone();
-        evil[8] = 0xee; // first page tag
-        let mut dec = Dec::new(&evil);
-        assert_eq!(
-            SparseStore::decode(&mut dec).err(),
-            Some(SnapError::Corrupt("unknown page tag"))
-        );
     }
 
     #[test]

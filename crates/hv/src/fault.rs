@@ -137,14 +137,6 @@ impl FaultPlan {
         self.draws
     }
 
-    /// Restores the draw counter captured by [`draws`](Self::draws).
-    /// Decisions are pure in `(stream seed, draw index, simulated
-    /// time)`, so this resumes the fault schedule exactly — the machine
-    /// snapshot hook.
-    pub fn set_draws(&mut self, draws: u64) {
-        self.draws = draws;
-    }
-
     /// The deterministic seed for the buddy allocator's jitter stream
     /// (kept separate from [`check`](Self::check) draws so allocator
     /// traffic never perturbs choke-point schedules).

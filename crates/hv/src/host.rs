@@ -5,7 +5,6 @@ use hh_dram::{DimmProfile, DramDevice};
 use hh_sim::addr::{Pfn, PAGE_SIZE};
 use hh_sim::clock::{Clock, CostModel, SimDuration, SimInstant};
 use hh_sim::rng::SimRng;
-use hh_sim::snap::{Dec, Enc, SnapError};
 use hh_sim::ByteSize;
 use hh_trace::Tracer;
 
@@ -195,7 +194,7 @@ impl Host {
     /// template-instantiated host bit-identical to a booted one.
     fn assemble(config: HostConfig, buddy: BuddyAllocator) -> Self {
         let mut rng = SimRng::seed_from(config.seed);
-        let noise_rng = rng.fork("host-noise");
+        let noise_rng = rng.substream("host-noise");
         let dram = DramDevice::new(config.dimm, config.seed ^ 0xd1a);
         let fault_plan = FaultPlan::new(config.faults, config.seed);
         let mut host = Self {
@@ -443,117 +442,6 @@ impl Host {
         self.next_vm_id += 1;
         id
     }
-
-    /// Serializes the host's complete mutable state into a snapshot
-    /// stream: allocator (free-list LIFO order, indexes, PCP lanes,
-    /// stats), DRAM (contents, RNG, flip journal), clock, host RNG
-    /// position, released-pages log, counters, and the positions of the
-    /// fault-injection streams. The configuration is *not* included —
-    /// the container format stores `(scenario, seed, faults)` and
-    /// rebuilds it, exactly as [`HostTemplate::instantiate`] does.
-    pub fn encode_state_into(&self, enc: &mut Enc) {
-        self.buddy.snapshot().encode_into(enc);
-        self.dram.encode_state_into(enc);
-        enc.u64(self.clock.now_nanos());
-        for w in self.rng.state() {
-            enc.u64(w);
-        }
-        enc.u64(self.released_log.len() as u64);
-        for p in &self.released_log {
-            enc.u64(p.index());
-        }
-        enc.u64(self.ept_pages_allocated);
-        enc.u32(self.next_vm_id);
-        enc.u64(self.fault_plan.draws());
-        enc.u64(self.buddy.alloc_jitter().map_or(0, |j| j.calls()));
-    }
-
-    /// Rebuilds a host from its configuration plus a stream captured by
-    /// [`encode_state_into`](Self::encode_state_into). `config` must be
-    /// the configuration the snapshotted host was built with (same
-    /// scenario, seed and fault plan); the pure derivations — DRAM fault
-    /// profile, RNG stream seeds, fault-plan stream seed — are replayed
-    /// from it, then every piece of mutable state is overwritten from
-    /// the stream, leaving the host bit-identical to the snapshotted
-    /// one (with a detached tracer).
-    ///
-    /// # Errors
-    ///
-    /// [`SnapError`] when the stream is truncated, corrupt, or does not
-    /// match `config`'s geometry.
-    pub fn from_snapshot_state(config: HostConfig, dec: &mut Dec<'_>) -> Result<Self, SnapError> {
-        let snap = BuddySnapshot::decode(dec)?;
-        let frames = config.dimm.geometry.size_bytes() / PAGE_SIZE;
-        if snap.total_frames() != frames {
-            return Err(SnapError::Corrupt("buddy zone does not match geometry"));
-        }
-        let mut host = Self::assemble(config, BuddyAllocator::from_snapshot(&snap));
-        host.dram.restore_state(dec)?;
-        let nanos = dec.u64()?;
-        let mut state = [0u64; 4];
-        for w in &mut state {
-            *w = dec.u64()?;
-        }
-        if state.iter().all(|&w| w == 0) {
-            return Err(SnapError::Corrupt("all-zero host rng state"));
-        }
-        let released = dec.count(8)?;
-        let mut released_log = Vec::with_capacity(released);
-        for _ in 0..released {
-            let pfn = dec.u64()?;
-            if pfn >= frames {
-                return Err(SnapError::Corrupt("released-log pfn beyond zone"));
-            }
-            released_log.push(Pfn::new(pfn));
-        }
-        let ept_pages_allocated = dec.u64()?;
-        let next_vm_id = dec.u32()?;
-        if next_vm_id == 0 {
-            return Err(SnapError::Corrupt("vm ids start at 1"));
-        }
-        let draws = dec.u64()?;
-        let jitter_calls = dec.u64()?;
-        // `assemble` restored the allocator without its jitter source
-        // and then reattached one (rate > 0) or none (rate == 0); the
-        // stream position must agree with that configuration.
-        match host.buddy.alloc_jitter_mut() {
-            Some(j) => j.set_calls(jitter_calls),
-            None if jitter_calls != 0 => {
-                return Err(SnapError::Corrupt("jitter calls without alloc jitter"));
-            }
-            None => {}
-        }
-        host.clock = Clock::new();
-        host.clock.advance_nanos(nanos);
-        host.rng = SimRng::from_state(state);
-        host.released_log = released_log;
-        host.ept_pages_allocated = ept_pages_allocated;
-        host.next_vm_id = next_vm_id;
-        host.fault_plan.set_draws(draws);
-        Ok(host)
-    }
-
-    /// A copy-on-write fork of the host: DRAM pages are shared with the
-    /// parent until either side writes (see [`DramDevice::fork`]), the
-    /// allocator, clock, RNG streams and fault-plan positions are
-    /// copied, and the fork starts with a detached tracer. Forking a
-    /// profiled host is how one boot fans out into divergent campaign
-    /// cells without re-profiling.
-    pub fn fork(&self) -> Self {
-        Self {
-            dram: self.dram.fork(),
-            buddy: self.buddy.fork(),
-            clock: self.clock,
-            cost: self.cost.clone(),
-            quarantine: self.quarantine,
-            rng: self.rng.clone(),
-            released_log: self.released_log.clone(),
-            ept_pages_allocated: self.ept_pages_allocated,
-            next_vm_id: self.next_vm_id,
-            fault_plan: self.fault_plan.clone(),
-            tracer: Tracer::off(),
-        }
-    }
 }
 
 /// Boot-time churn: allocate unmovable pages in adjacent pairs and
@@ -743,125 +631,6 @@ mod tests {
             );
         }
         assert_eq!(fast.fault_plan().draws(), cold.fault_plan().draws());
-    }
-
-    /// A host with non-trivial state in every subsystem: allocations,
-    /// EPT pages, released-log entries, advanced clock and RNG.
-    fn worked_host() -> Host {
-        let cfg =
-            HostConfig::small_test().with_faults(FaultConfig::uniform(0.05).with_seed(0x7a17));
-        let mut host = Host::new(cfg);
-        for _ in 0..8 {
-            let _ = host.alloc_ept_page();
-        }
-        let blk = host.buddy_mut().alloc(3, MigrateType::Movable).unwrap();
-        host.buddy_mut().free(blk, 3);
-        host.dram_mut()
-            .fill(Pfn::new(40).base_hpa(), PAGE_SIZE, 0xab);
-        host.log_released(Pfn::new(100), 5);
-        host.charge_nanos(123_456);
-        let _ = host.rng_mut().next_u64();
-        let _ = host.fault_check(crate::error::FaultStage::EptSplit);
-        host
-    }
-
-    #[test]
-    fn host_snapshot_restores_bit_identical_state() {
-        let mut original = worked_host();
-        let mut enc = Enc::new();
-        original.encode_state_into(&mut enc);
-        let bytes = enc.into_bytes();
-
-        let cfg =
-            HostConfig::small_test().with_faults(FaultConfig::uniform(0.05).with_seed(0x7a17));
-        let mut dec = Dec::new(&bytes);
-        let mut restored = Host::from_snapshot_state(cfg, &mut dec).expect("valid snapshot");
-        dec.finish().expect("no trailing bytes");
-
-        assert_eq!(
-            restored.buddy().free_state_digest(),
-            original.buddy().free_state_digest()
-        );
-        assert_eq!(restored.buddy().stats(), original.buddy().stats());
-        assert_eq!(restored.dram().store(), original.dram().store());
-        assert_eq!(
-            restored.dram().flip_journal(),
-            original.dram().flip_journal()
-        );
-        assert_eq!(restored.now(), original.now());
-        assert_eq!(restored.released_log(), original.released_log());
-        assert_eq!(
-            restored.ept_pages_allocated(),
-            original.ept_pages_allocated()
-        );
-        assert_eq!(restored.fault_plan().draws(), original.fault_plan().draws());
-
-        // Same state ⇒ same future: allocation order, RNG stream, VM
-        // ids and fault draws all continue in lockstep.
-        for _ in 0..32 {
-            assert_eq!(
-                restored.alloc_ept_page().ok(),
-                original.alloc_ept_page().ok()
-            );
-            assert_eq!(restored.rng_mut().next_u64(), original.rng_mut().next_u64());
-            restored.charge_nanos(777);
-            original.charge_nanos(777);
-            assert_eq!(
-                restored
-                    .fault_check(crate::error::FaultStage::VirtioMemUnplug)
-                    .is_err(),
-                original
-                    .fault_check(crate::error::FaultStage::VirtioMemUnplug)
-                    .is_err()
-            );
-        }
-        assert_eq!(restored.next_vm_id(), original.next_vm_id());
-    }
-
-    #[test]
-    fn host_snapshot_rejects_corrupt_bytes_with_typed_errors() {
-        let original = worked_host();
-        let mut enc = Enc::new();
-        original.encode_state_into(&mut enc);
-        let bytes = enc.into_bytes();
-        let cfg =
-            || HostConfig::small_test().with_faults(FaultConfig::uniform(0.05).with_seed(0x7a17));
-
-        for len in (0..bytes.len()).step_by(211).chain([bytes.len() - 1]) {
-            let mut dec = Dec::new(&bytes[..len]);
-            Host::from_snapshot_state(cfg(), &mut dec)
-                .expect_err("truncated host snapshot must fail");
-        }
-
-        // A snapshot restored under a mismatched geometry is rejected.
-        let mut small = cfg();
-        small.dimm = DimmProfile::test_profile(128 << 20);
-        let mut dec = Dec::new(&bytes);
-        assert_eq!(
-            Host::from_snapshot_state(small, &mut dec).err(),
-            Some(SnapError::Corrupt("buddy zone does not match geometry"))
-        );
-    }
-
-    #[test]
-    fn forked_hosts_share_pages_then_diverge() {
-        let parent = worked_host();
-        let mut fork = parent.fork();
-        assert_eq!(
-            fork.buddy().free_state_digest(),
-            parent.buddy().free_state_digest()
-        );
-        assert!(fork.dram().store().shared_pages() > 0, "fork should be CoW");
-
-        // Identical futures when driven identically...
-        let mut twin = parent.fork();
-        assert_eq!(fork.alloc_ept_page().ok(), twin.alloc_ept_page().ok());
-        assert_eq!(fork.rng_mut().next_u64(), twin.rng_mut().next_u64());
-
-        // ...and writes after the fork stay on their side.
-        let probe = Pfn::new(200).base_hpa();
-        fork.dram_mut().fill(probe, PAGE_SIZE, 0xee);
-        assert_ne!(parent.dram().store().read_u8(probe), 0xee);
     }
 
     #[test]

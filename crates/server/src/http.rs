@@ -7,7 +7,7 @@
 //! POST / DELETE, `Content-Length` bodies, keep-alive connections, and
 //! `Transfer-Encoding: chunked` responses.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 
 use hh_sim::json::quote;
 
@@ -189,8 +189,16 @@ pub fn read_request(reader: &mut impl BufRead) -> Result<Request, ParseError> {
             )))
         }
         Some(len) => {
-            let mut body = vec![0u8; len];
-            reader.read_exact(&mut body).map_err(ParseError::Io)?;
+            // Grow with the bytes that actually arrive: a lying
+            // Content-Length must not reserve memory the peer never sends.
+            let mut body = Vec::new();
+            reader
+                .take(len as u64)
+                .read_to_end(&mut body)
+                .map_err(ParseError::Io)?;
+            if body.len() < len {
+                return Err(ParseError::Io(io::ErrorKind::UnexpectedEof.into()));
+            }
             body
         }
         // A POST that wants to carry a body must declare its length;
@@ -355,7 +363,8 @@ impl<W: Write> ChunkedWriter<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
+    use hh_sim::check;
+    use std::io::{BufReader, Cursor};
 
     fn parse(bytes: &[u8]) -> Result<Request, ParseError> {
         read_request(&mut BufReader::new(bytes))
@@ -491,6 +500,35 @@ mod tests {
             text.ends_with("c\r\n{\"cell\": 0}\n\r\nc\r\n{\"cell\": 1}\n\r\n0\r\n\r\n"),
             "{text}"
         );
+    }
+
+    #[test]
+    fn mutated_requests_never_panic() {
+        let docs: [&[u8]; 3] = [
+            b"GET /jobs/7 HTTP/1.1\r\nHost: localhost\r\nAccept: */*\r\n\r\n",
+            b"POST /jobs HTTP/1.1\r\nContent-Length: 9\r\nConnection: close\r\n\r\n{\"a\": 1}\n",
+            b"DELETE /jobs/3 HTTP/1.0\r\nConnection: keep-alive\r\n\r\n",
+        ];
+        assert!(docs.iter().all(|doc| parse(doc).is_ok()));
+        // Bytes that steer the parser into its interesting branches.
+        const ALPHABET: &[u8] = b"\r\n: /0123456789GETPOSDLH.-content-length\xff";
+        check::cases(0x47_7b, check::DEFAULT_CASES * 4, |rng| {
+            let mut bytes = docs[rng.gen_range(0..docs.len())].to_vec();
+            check::mutate(rng, &mut bytes, ALPHABET);
+            match read_request(&mut Cursor::new(&bytes)) {
+                Ok(req) => {
+                    // Everything decoded was read out of the input.
+                    let header_bytes: usize =
+                        req.headers.iter().map(|(n, v)| n.len() + v.len()).sum();
+                    assert!(req.path.len() + header_bytes + req.body.len() <= bytes.len());
+                }
+                // Running out of input mid-body is the one transport
+                // failure an in-memory reader can produce.
+                Err(ParseError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof),
+                Err(ParseError::Eof) => assert!(bytes.is_empty(), "Eof on {} bytes", bytes.len()),
+                Err(e) => assert!(error_response(&e).is_some_and(|r| r.status >= 400)),
+            }
+        });
     }
 
     #[test]

@@ -231,6 +231,9 @@ impl Journal {
 
 #[cfg(test)]
 mod tests {
+    use hh_sim::check;
+    use hyperhammer::jobspec::MAX_CELLS;
+
     use super::*;
 
     fn spec() -> JobSpec {
@@ -368,6 +371,35 @@ mod tests {
                 (Want::Err(_), Ok(rec)) => panic!("{name}: expected an error, got {rec:?}"),
             }
         }
+    }
+
+    #[test]
+    fn mutated_journals_never_panic() {
+        let h = header();
+        let docs = [
+            h.clone(),
+            format!("{h}2\t{{\"c\": 2}}\n0\t{{\"c\": 0}}\n1\t{{\"c\""),
+        ];
+        assert!(docs.iter().all(|doc| parse(doc.as_bytes()).is_ok()));
+        // Bytes that steer the parser into its interesting branches.
+        const ALPHABET: &[u8] = b"\t\n0123456789{}[]\":, -ckptvhyper\xff";
+        check::cases(0x10_0e, check::DEFAULT_CASES * 4, |rng| {
+            let mut bytes = docs[rng.gen_range(0..docs.len())].as_bytes().to_vec();
+            check::mutate(rng, &mut bytes, ALPHABET);
+            match parse(&bytes) {
+                Ok(rec) => {
+                    // The per-cell table is sized by the validated spec;
+                    // every line in it was read out of the input.
+                    assert_eq!(Some(rec.lines.len()), rec.spec.cell_count());
+                    assert!(rec.lines.len() <= MAX_CELLS);
+                    assert_eq!(rec.torn, rec.intact_len < bytes.len());
+                    let filled: usize = rec.lines.iter().flatten().map(String::len).sum();
+                    assert!(filled <= rec.intact_len, "{filled} > {}", rec.intact_len);
+                }
+                Err(JournalError::Io(e)) => panic!("parsing bytes cannot fail I/O: {e}"),
+                Err(e) => assert!(!e.to_string().is_empty()),
+            }
+        });
     }
 
     #[test]

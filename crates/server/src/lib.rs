@@ -62,7 +62,6 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use hh_sim::json::quote;
-use hh_trace::{Counter, Metrics};
 use hyperhammer::jobspec::job_spec_from_json;
 use hyperhammer::parallel::{resolve_jobs, CellConsumer, StreamError};
 use hyperhammer::streamref::CampaignAggregate;
@@ -74,6 +73,52 @@ use journal::Journal;
 /// Per-cell NDJSON line formatter, injected by the CLI so the server
 /// cannot drift from `campaign --json` output.
 pub type CellFormatter = fn(&CellResult, &mut String);
+
+/// The server's process-wide counters: the `counters` object of the
+/// `GET /metrics` body, in declaration order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ServerCounter {
+    /// HTTP requests handled.
+    Requests,
+    /// Jobs accepted by the queue.
+    JobsSubmitted,
+    /// Jobs run to completion.
+    JobsCompleted,
+    /// Jobs cancelled (queued or mid-run).
+    JobsCancelled,
+    /// Per-scenario template lookups served warm from the cache (one
+    /// lookup per scenario of each job run).
+    TemplateHits,
+    /// Per-scenario template lookups that had to build one cold.
+    TemplateMisses,
+}
+
+impl ServerCounter {
+    /// Number of counters.
+    pub const COUNT: usize = 6;
+
+    /// Every counter, in declaration order.
+    pub const ALL: [ServerCounter; ServerCounter::COUNT] = [
+        ServerCounter::Requests,
+        ServerCounter::JobsSubmitted,
+        ServerCounter::JobsCompleted,
+        ServerCounter::JobsCancelled,
+        ServerCounter::TemplateHits,
+        ServerCounter::TemplateMisses,
+    ];
+
+    /// Stable lower-snake wire name.
+    pub const fn name(self) -> &'static str {
+        match self {
+            ServerCounter::Requests => "server_requests",
+            ServerCounter::JobsSubmitted => "server_jobs_submitted",
+            ServerCounter::JobsCompleted => "server_jobs_completed",
+            ServerCounter::JobsCancelled => "server_jobs_cancelled",
+            ServerCounter::TemplateHits => "server_template_hits",
+            ServerCounter::TemplateMisses => "server_template_misses",
+        }
+    }
+}
 
 /// A job's lifecycle state.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -277,17 +322,14 @@ struct Shared {
     registry: Mutex<Registry>,
     queue_wake: Condvar,
     templates: Mutex<HashMap<TemplateKey, Arc<MachineTemplate>>>,
-    metrics: Mutex<Metrics>,
+    counters: Mutex<[u64; ServerCounter::COUNT]>,
     /// Spool directory the queue persists to, when configured.
     spool: Option<PathBuf>,
 }
 
 impl Shared {
-    fn bump(&self, counter: Counter, by: u64) {
-        self.metrics
-            .lock()
-            .expect("metrics poisoned")
-            .bump(counter, by);
+    fn bump(&self, counter: ServerCounter) {
+        self.counters.lock().expect("counters poisoned")[counter as usize] += 1;
     }
 }
 
@@ -360,7 +402,7 @@ impl JobManager {
             registry: Mutex::new(registry),
             queue_wake: Condvar::new(),
             templates: Mutex::new(HashMap::new()),
-            metrics: Mutex::new(Metrics::default()),
+            counters: Mutex::new([0; ServerCounter::COUNT]),
             spool,
         });
         let runner = {
@@ -420,7 +462,7 @@ impl JobManager {
         registry.jobs.insert(id, job);
         registry.queue.push(QueueEntry { priority, seq, id });
         drop(registry);
-        self.shared.bump(Counter::ServerJobsSubmitted, 1);
+        self.shared.bump(ServerCounter::JobsSubmitted);
         self.shared.queue_wake.notify_all();
         Ok(id)
     }
@@ -464,7 +506,7 @@ impl JobManager {
                 state.status = JobStatus::Cancelled;
                 job.wake.notify_all();
                 drop(state);
-                self.shared.bump(Counter::ServerJobsCancelled, 1);
+                self.shared.bump(ServerCounter::JobsCancelled);
             }
             JobStatus::Running => {
                 job.cancel.cancel();
@@ -519,24 +561,12 @@ impl JobManager {
             .lock()
             .expect("templates poisoned")
             .len();
-        let metrics = self
-            .shared
-            .metrics
-            .lock()
-            .expect("metrics poisoned")
-            .clone();
-        let counters = [
-            Counter::ServerRequests,
-            Counter::ServerJobsSubmitted,
-            Counter::ServerJobsCompleted,
-            Counter::ServerJobsCancelled,
-            Counter::ServerTemplateHits,
-            Counter::ServerTemplateMisses,
-        ]
-        .iter()
-        .map(|&c| format!("\"{}\": {}", c.name(), metrics.get(c)))
-        .collect::<Vec<_>>()
-        .join(", ");
+        let values = *self.shared.counters.lock().expect("counters poisoned");
+        let counters = ServerCounter::ALL
+            .iter()
+            .map(|&c| format!("\"{}\": {}", c.name(), values[c as usize]))
+            .collect::<Vec<_>>()
+            .join(", ");
         format!(
             "{{\"queue_depth\": {depth}, \"jobs\": {jobs}, \"templates\": {templates}, \
              \"counters\": {{{counters}}}}}"
@@ -544,12 +574,8 @@ impl JobManager {
     }
 
     /// Current value of one server counter (used by tests/benches).
-    pub fn counter(&self, counter: Counter) -> u64 {
-        self.shared
-            .metrics
-            .lock()
-            .expect("metrics poisoned")
-            .get(counter)
+    pub fn counter(&self, counter: ServerCounter) -> u64 {
+        self.shared.counters.lock().expect("counters poisoned")[counter as usize]
     }
 
     /// Begins shutdown: refuses new submissions, cancels every queued
@@ -574,7 +600,7 @@ impl JobManager {
                 state.status = JobStatus::Cancelled;
                 job.wake.notify_all();
                 drop(state);
-                self.shared.bump(Counter::ServerJobsCancelled, 1);
+                self.shared.bump(ServerCounter::JobsCancelled);
             }
         }
         self.shared.queue_wake.notify_all();
@@ -702,10 +728,10 @@ fn warm_template(
     );
     let mut cache = shared.templates.lock().expect("templates poisoned");
     if let Some(template) = cache.get(&key) {
-        shared.bump(Counter::ServerTemplateHits, 1);
+        shared.bump(ServerCounter::TemplateHits);
         return Arc::clone(template);
     }
-    shared.bump(Counter::ServerTemplateMisses, 1);
+    shared.bump(ServerCounter::TemplateMisses);
     let template = Arc::new(MachineTemplate::for_scenario(scenario));
     cache.insert(key, Arc::clone(&template));
     template
@@ -750,11 +776,11 @@ fn run_job(shared: &Arc<Shared>, job: &Arc<Job>) {
     match outcome {
         Ok(_) => {
             job.set_status(JobStatus::Done);
-            shared.bump(Counter::ServerJobsCompleted, 1);
+            shared.bump(ServerCounter::JobsCompleted);
         }
         Err(StreamError::Cancelled) => {
             job.set_status(JobStatus::Cancelled);
-            shared.bump(Counter::ServerJobsCancelled, 1);
+            shared.bump(ServerCounter::JobsCancelled);
         }
         Err(e) => {
             job.set_status(JobStatus::Failed(e.to_string()));
@@ -916,7 +942,7 @@ fn handle_connection(stream: TcpStream, ctx: &Arc<ServerCtx>) {
                 return;
             }
         };
-        ctx.manager.shared.bump(Counter::ServerRequests, 1);
+        ctx.manager.shared.bump(ServerCounter::Requests);
         let keep_alive = request.keep_alive;
         match route(ctx, &request, &mut writer) {
             Ok(Handled::Response(resp)) => {
@@ -1119,17 +1145,17 @@ mod tests {
         let manager = JobManager::new(fmt);
         let first = manager.submit(tiny_spec()).unwrap();
         manager.wait(first).unwrap();
-        assert_eq!(manager.counter(Counter::ServerTemplateMisses), 1);
-        assert_eq!(manager.counter(Counter::ServerTemplateHits), 0);
+        assert_eq!(manager.counter(ServerCounter::TemplateMisses), 1);
+        assert_eq!(manager.counter(ServerCounter::TemplateHits), 0);
 
         let second = manager.submit(tiny_spec()).unwrap();
         manager.wait(second).unwrap();
         assert_eq!(
-            manager.counter(Counter::ServerTemplateMisses),
+            manager.counter(ServerCounter::TemplateMisses),
             1,
             "cache stays warm"
         );
-        assert_eq!(manager.counter(Counter::ServerTemplateHits), 1);
+        assert_eq!(manager.counter(ServerCounter::TemplateHits), 1);
 
         // A different fault plan must not share the warm template.
         let mut faulted = tiny_spec();
@@ -1137,7 +1163,7 @@ mod tests {
         faulted.fault_seed = 7;
         let third = manager.submit(faulted).unwrap();
         manager.wait(third).unwrap();
-        assert_eq!(manager.counter(Counter::ServerTemplateMisses), 2);
+        assert_eq!(manager.counter(ServerCounter::TemplateMisses), 2);
     }
 
     #[test]
@@ -1145,7 +1171,7 @@ mod tests {
         let manager = JobManager::new(fmt);
         let base = manager.submit(tiny_spec()).unwrap();
         manager.wait(base).unwrap();
-        assert_eq!(manager.counter(Counter::ServerTemplateMisses), 1);
+        assert_eq!(manager.counter(ServerCounter::TemplateMisses), 1);
 
         // Same base scenario name, different attack variant: the key
         // must differ even though `Scenario::name` is identical.
@@ -1154,19 +1180,19 @@ mod tests {
         let job = manager.submit(balloon).unwrap();
         manager.wait(job).unwrap();
         assert_eq!(
-            manager.counter(Counter::ServerTemplateMisses),
+            manager.counter(ServerCounter::TemplateMisses),
             2,
             "tiny and tiny@balloon must not share a warm template"
         );
-        assert_eq!(manager.counter(Counter::ServerTemplateHits), 0);
+        assert_eq!(manager.counter(ServerCounter::TemplateHits), 0);
 
         // Re-submitting the variant job hits its own cached template.
         let mut again = tiny_spec();
         again.scenarios = vec!["tiny@balloon".to_string()];
         let job = manager.submit(again).unwrap();
         manager.wait(job).unwrap();
-        assert_eq!(manager.counter(Counter::ServerTemplateMisses), 2);
-        assert_eq!(manager.counter(Counter::ServerTemplateHits), 1);
+        assert_eq!(manager.counter(ServerCounter::TemplateMisses), 2);
+        assert_eq!(manager.counter(ServerCounter::TemplateHits), 1);
     }
 
     #[test]
@@ -1174,7 +1200,7 @@ mod tests {
         let manager = JobManager::new(fmt);
         let first = manager.submit(tiny_spec()).unwrap();
         manager.wait(first).unwrap();
-        assert_eq!(manager.counter(Counter::ServerTemplateMisses), 1);
+        assert_eq!(manager.counter(ServerCounter::TemplateMisses), 1);
 
         // -0.0 == 0.0: the same (absent) fault plan must reuse the
         // template instead of splitting the cache on the sign bit.
@@ -1182,8 +1208,8 @@ mod tests {
         negzero.fault_rate = -0.0;
         let job = manager.submit(negzero).unwrap();
         manager.wait(job).unwrap();
-        assert_eq!(manager.counter(Counter::ServerTemplateMisses), 1);
-        assert_eq!(manager.counter(Counter::ServerTemplateHits), 1);
+        assert_eq!(manager.counter(ServerCounter::TemplateMisses), 1);
+        assert_eq!(manager.counter(ServerCounter::TemplateHits), 1);
     }
 
     #[test]
@@ -1463,6 +1489,80 @@ mod tests {
         api.stream(id, &mut streamed).unwrap();
         let expected: String = (0..2).map(|i| serial_line(&spec, i)).collect();
         assert_eq!(String::from_utf8(streamed).unwrap(), expected);
+        api.shutdown().unwrap();
+        server.join();
+    }
+
+    /// A formatter gate for the pinned-metrics test: while it is shut,
+    /// every cell's formatter call parks, holding its job in `Running`.
+    struct Gate {
+        open: bool,
+        parked: usize,
+    }
+
+    static GATE: Mutex<Gate> = Mutex::new(Gate {
+        open: false,
+        parked: 0,
+    });
+    static GATE_MOVED: Condvar = Condvar::new();
+
+    fn gated_fmt(result: &CellResult, out: &mut String) {
+        fmt(result, out);
+        let mut gate = GATE.lock().unwrap();
+        gate.parked += 1;
+        GATE_MOVED.notify_all();
+        while !gate.open {
+            gate = GATE_MOVED.wait(gate).unwrap();
+        }
+        gate.parked -= 1;
+    }
+
+    fn set_gate(open: bool) {
+        GATE.lock().unwrap().open = open;
+        GATE_MOVED.notify_all();
+    }
+
+    #[test]
+    fn metrics_body_is_pinned_after_a_fixed_request_sequence() {
+        let server = CampaignServer::start("127.0.0.1:0", gated_fmt).unwrap();
+        let api = client::Client::new(&server.local_addr().to_string());
+        let spec = job_spec_to_json(&tiny_spec());
+
+        // With the gate shut the first job cannot finish, so the job
+        // queued behind it is still queued when it is cancelled.
+        let _blocker = api.submit(&spec).unwrap();
+        let victim = api.submit(&spec).unwrap();
+        let cancelled = api.cancel(victim).unwrap();
+        assert!(
+            cancelled.contains("\"was\": \"queued\""),
+            "got: {cancelled}"
+        );
+        let second = api.submit(&spec).unwrap();
+        set_gate(true);
+        let mut streamed = Vec::new();
+        api.stream(second, &mut streamed).unwrap();
+        assert!(api.submit("{\"scenarios\": [\"warp9\"]}").is_err());
+        assert!(api.status(second).unwrap().contains("\"status\": \"done\""));
+        assert!(api.status(999).is_err());
+
+        // A last job parked in its first cell proves the runner is past
+        // the previous job's completion count and this job's template
+        // lookup.
+        set_gate(false);
+        let _parked = api.submit(&spec).unwrap();
+        let mut gate = GATE.lock().unwrap();
+        while gate.parked == 0 {
+            gate = GATE_MOVED.wait(gate).unwrap();
+        }
+        drop(gate);
+        assert_eq!(
+            api.metrics().unwrap(),
+            "{\"queue_depth\": 0, \"jobs\": 4, \"templates\": 1, \"counters\": \
+             {\"server_requests\": 10, \"server_jobs_submitted\": 4, \
+             \"server_jobs_completed\": 2, \"server_jobs_cancelled\": 1, \
+             \"server_template_hits\": 2, \"server_template_misses\": 1}}"
+        );
+        set_gate(true);
         api.shutdown().unwrap();
         server.join();
     }

@@ -56,6 +56,31 @@ pub fn vec_of<T>(
     (0..len).map(|_| f(rng)).collect()
 }
 
+/// Applies one to eight random edits to `bytes` — single-bit flips,
+/// insertions (half drawn from `alphabet`, half arbitrary) and
+/// deletions — for decoder robustness sweeps: whatever comes out must
+/// decode to a value or a typed error, never a panic.
+pub fn mutate(rng: &mut SimRng, bytes: &mut Vec<u8>, alphabet: &[u8]) {
+    for _ in 0..rng.gen_range(1usize..9) {
+        let at = rng.gen_range(0..bytes.len() + 1);
+        match rng.gen_range(0u8..3) {
+            0 if at < bytes.len() => bytes[at] ^= 1 << rng.gen_range(0u8..8),
+            1 => {
+                let b = if rng.gen_bool(0.5) {
+                    alphabet[rng.gen_range(0..alphabet.len())]
+                } else {
+                    rng.gen_range(0u8..255)
+                };
+                bytes.insert(at, b);
+            }
+            _ if at < bytes.len() => {
+                bytes.remove(at);
+            }
+            _ => {}
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -666,24 +666,7 @@ mod tests {
         check::cases(0x15_0a, check::DEFAULT_CASES * 4, |rng| {
             let doc = if rng.gen_bool(0.5) { SPEC } else { REPORT };
             let mut bytes = doc.as_bytes().to_vec();
-            for _ in 0..rng.gen_range(1usize..9) {
-                let at = rng.gen_range(0..bytes.len() + 1);
-                match rng.gen_range(0u8..3) {
-                    0 if at < bytes.len() => bytes[at] ^= 1 << rng.gen_range(0u8..8),
-                    1 => {
-                        let b = if rng.gen_bool(0.5) {
-                            ALPHABET[rng.gen_range(0..ALPHABET.len())]
-                        } else {
-                            rng.gen_range(0u8..255)
-                        };
-                        bytes.insert(at, b);
-                    }
-                    _ if at < bytes.len() => {
-                        bytes.remove(at);
-                    }
-                    _ => {}
-                }
-            }
+            check::mutate(rng, &mut bytes, ALPHABET);
             let input = String::from_utf8_lossy(&bytes);
             if let Err(e) = parse(&input) {
                 assert!(e.offset <= input.len(), "{e} beyond {} bytes", input.len());

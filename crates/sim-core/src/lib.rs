@@ -19,8 +19,6 @@
 //!   on [`rng`].
 //! * [`json`] — the one JSON codec: a depth-bounded, strict RFC 8259
 //!   parser with typed errors, and the one string escaper.
-//! * [`snap`] — bounds-checked little-endian encode/decode primitives
-//!   for the versioned machine-snapshot format.
 //! * [`size`] — human-friendly byte sizes.
 //! * [`mem`] — process peak-RSS measurement (`VmHWM`), for the
 //!   bounded-memory guarantees the streaming campaign path makes.
@@ -54,7 +52,6 @@ pub mod json;
 pub mod mem;
 pub mod rng;
 pub mod size;
-pub mod snap;
 
 pub use addr::{Gpa, Gva, Hpa, Iova, Pfn, HUGE_PAGE_SIZE, PAGE_SIZE};
 pub use clock::Clock;

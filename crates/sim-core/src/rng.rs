@@ -53,35 +53,13 @@ impl SimRng {
     /// remaining reproducible: the same `(seed, label)` always yields the
     /// same stream, and drawing more values in one subsystem never
     /// perturbs another.
-    pub fn fork(&mut self, label: &str) -> Self {
+    pub fn substream(&mut self, label: &str) -> Self {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325; // FNV-1a offset basis
         for &b in label.as_bytes() {
             h ^= u64::from(b);
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
         Self::seed_from(self.next_u64() ^ h)
-    }
-
-    /// The raw generator state, for snapshot serialization. Restoring
-    /// via [`SimRng::from_state`] resumes the stream exactly where this
-    /// generator left off.
-    pub fn state(&self) -> [u64; 4] {
-        self.state
-    }
-
-    /// Rebuilds a generator from a [`SimRng::state`] capture.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the all-zero state, which is not a valid xoshiro256**
-    /// state (no seeding path can produce it, so encountering it means
-    /// the snapshot bytes are corrupt and were not range-checked).
-    pub fn from_state(state: [u64; 4]) -> Self {
-        assert!(
-            state.iter().any(|&w| w != 0),
-            "all-zero xoshiro256** state is invalid"
-        );
-        Self { state }
     }
 
     /// Splits a base experiment seed into the seed for task `index`.
@@ -265,12 +243,12 @@ mod tests {
     fn forks_are_independent_and_reproducible() {
         let mut parent1 = SimRng::seed_from(9);
         let mut parent2 = SimRng::seed_from(9);
-        let mut fault1 = parent1.fork("fault");
-        let mut fault2 = parent2.fork("fault");
+        let mut fault1 = parent1.substream("fault");
+        let mut fault2 = parent2.substream("fault");
         assert_eq!(fault1.next_u64(), fault2.next_u64());
 
         let mut parent3 = SimRng::seed_from(9);
-        let mut noise = parent3.fork("noise");
+        let mut noise = parent3.substream("noise");
         assert_ne!(fault1.next_u64(), noise.next_u64());
     }
 
@@ -322,18 +300,6 @@ mod tests {
         }
         for &c in &counts {
             assert!((9_000..11_000).contains(&c), "counts = {counts:?}");
-        }
-    }
-
-    #[test]
-    fn state_capture_resumes_the_stream() {
-        let mut rng = SimRng::seed_from(99);
-        for _ in 0..17 {
-            rng.next_u64();
-        }
-        let mut resumed = SimRng::from_state(rng.state());
-        for _ in 0..100 {
-            assert_eq!(resumed.next_u64(), rng.next_u64());
         }
     }
 

@@ -153,29 +153,11 @@ pub enum Counter {
     TransientRetries,
     /// Spray-width halvings after repeated transient spray failures.
     SprayDegradations,
-    /// HTTP requests handled by the campaign server.
-    ServerRequests,
-    /// Campaign jobs accepted by the server's queue.
-    ServerJobsSubmitted,
-    /// Campaign jobs run to completion by the server.
-    ServerJobsCompleted,
-    /// Campaign jobs cancelled (queued or mid-run).
-    ServerJobsCancelled,
-    /// Server jobs that found a warm per-scenario template in the cache.
-    ServerTemplateHits,
-    /// Server jobs that had to build a per-scenario template cold.
-    ServerTemplateMisses,
-    /// Machine snapshots serialized (checkpoint writes).
-    SnapshotWrites,
-    /// Machine snapshots deserialized (checkpoint/resume restores).
-    SnapshotReads,
-    /// Copy-on-write machine forks taken from a live or restored host.
-    SnapshotForks,
 }
 
 impl Counter {
     /// Number of counters.
-    pub const COUNT: usize = 28;
+    pub const COUNT: usize = 19;
 
     /// Every counter, in declaration order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -198,15 +180,6 @@ impl Counter {
         Counter::FaultsInjected,
         Counter::TransientRetries,
         Counter::SprayDegradations,
-        Counter::ServerRequests,
-        Counter::ServerJobsSubmitted,
-        Counter::ServerJobsCompleted,
-        Counter::ServerJobsCancelled,
-        Counter::ServerTemplateHits,
-        Counter::ServerTemplateMisses,
-        Counter::SnapshotWrites,
-        Counter::SnapshotReads,
-        Counter::SnapshotForks,
     ];
 
     /// Stable lower-snake name (used in NDJSON output and tables).
@@ -231,15 +204,6 @@ impl Counter {
             Counter::FaultsInjected => "faults_injected",
             Counter::TransientRetries => "transient_retries",
             Counter::SprayDegradations => "spray_degradations",
-            Counter::ServerRequests => "server_requests",
-            Counter::ServerJobsSubmitted => "server_jobs_submitted",
-            Counter::ServerJobsCompleted => "server_jobs_completed",
-            Counter::ServerJobsCancelled => "server_jobs_cancelled",
-            Counter::ServerTemplateHits => "server_template_hits",
-            Counter::ServerTemplateMisses => "server_template_misses",
-            Counter::SnapshotWrites => "snapshot_writes",
-            Counter::SnapshotReads => "snapshot_reads",
-            Counter::SnapshotForks => "snapshot_forks",
         }
     }
 
@@ -264,15 +228,6 @@ impl Counter {
             Counter::FaultsInjected => 16,
             Counter::TransientRetries => 17,
             Counter::SprayDegradations => 18,
-            Counter::ServerRequests => 19,
-            Counter::ServerJobsSubmitted => 20,
-            Counter::ServerJobsCompleted => 21,
-            Counter::ServerJobsCancelled => 22,
-            Counter::ServerTemplateHits => 23,
-            Counter::ServerTemplateMisses => 24,
-            Counter::SnapshotWrites => 25,
-            Counter::SnapshotReads => 26,
-            Counter::SnapshotForks => 27,
         }
     }
 }
@@ -390,11 +345,9 @@ impl Metrics {
         self.counters[counter.index()]
     }
 
-    /// Adds `by` to a counter. Inside a cell the [`Tracer`] does this
-    /// through typed events; the campaign server bumps its own
-    /// process-wide `Metrics` (requests served, jobs run, template
-    /// cache hits) directly.
-    pub fn bump(&mut self, counter: Counter, by: u64) {
+    /// Adds `by` to a counter; the [`Tracer`] does this through typed
+    /// events.
+    pub(crate) fn bump(&mut self, counter: Counter, by: u64) {
         self.counters[counter.index()] += by;
     }
 
@@ -964,21 +917,6 @@ impl Tracer {
             s.metrics.bump(Counter::FaultsInjected, 1);
             s.record(Event::FaultInjected { stage, cause });
         });
-    }
-
-    /// Records a machine snapshot being serialized.
-    pub fn snapshot_write(&self) {
-        self.with(|s| s.metrics.bump(Counter::SnapshotWrites, 1));
-    }
-
-    /// Records a machine snapshot being deserialized.
-    pub fn snapshot_read(&self) {
-        self.with(|s| s.metrics.bump(Counter::SnapshotReads, 1));
-    }
-
-    /// Records a copy-on-write machine fork.
-    pub fn snapshot_fork(&self) {
-        self.with(|s| s.metrics.bump(Counter::SnapshotForks, 1));
     }
 
     /// Records a stage operation being retried after a transient fault.

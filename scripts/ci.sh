@@ -9,7 +9,7 @@
 #   With no arguments every stage runs in order; otherwise only the
 #   named stages run. Stages: build test fmt clippy bench-smoke
 #   determinism chaos scaling-sanity memory-cap server-smoke
-#   snapshot-roundtrip variant-matrix bench-diff.
+#   checkpoint-resume variant-matrix bench-diff.
 #
 # All binary-driving stages share ONE --locked release build
 # (build_release below): the first stage that needs target/release pays
@@ -110,6 +110,31 @@ same_bytes_across_jobs() {
             fi
         done
     done
+}
+
+# start_server LOG ARGS...
+#
+# Starts `serve --addr 127.0.0.1:0 ARGS` in the background with its
+# output in LOG and waits for its "listening on" line. Sets SERVER_PID
+# and SERVER_ADDR; fails (killing the server) if no address shows up
+# within five seconds.
+start_server() {
+    local log=$1
+    shift
+    "$SIM" serve --addr 127.0.0.1:0 "$@" >"$log" 2>&1 &
+    SERVER_PID=$!
+    SERVER_ADDR=""
+    for _ in $(seq 50); do
+        SERVER_ADDR=$(sed -n 's/^listening on //p' "$log")
+        [ -n "$SERVER_ADDR" ] && break
+        sleep 0.1
+    done
+    if [ -z "$SERVER_ADDR" ]; then
+        echo "$CURRENT_STAGE: server never reported its address" >&2
+        kill "$SERVER_PID" 2>/dev/null || true
+        return 1
+    fi
+    echo "==> campaign server at $SERVER_ADDR"
 }
 
 stage_determinism() {
@@ -250,19 +275,9 @@ stage_server_smoke() {
     build_release
     sim=$SIM
 
-    "$sim" serve --addr 127.0.0.1:0 >"$tmpdir/serve.log" 2>&1 &
-    server_pid=$!
-    for _ in $(seq 50); do
-        addr=$(sed -n 's/^listening on //p' "$tmpdir/serve.log")
-        [ -n "$addr" ] && break
-        sleep 0.1
-    done
-    if [ -z "$addr" ]; then
-        echo "server-smoke: server never reported its address" >&2
-        kill "$server_pid" 2>/dev/null || true
-        return 1
-    fi
-    echo "==> campaign server at $addr"
+    start_server "$tmpdir/serve.log"
+    server_pid=$SERVER_PID
+    addr=$SERVER_ADDR
 
     # A long job to cancel mid-run, and a short one to stream to the end.
     local victim_id stream_id
@@ -309,16 +324,14 @@ stage_server_smoke() {
         "exited cleanly"
 }
 
-stage_snapshot_roundtrip() {
-    stage snapshot-roundtrip
+stage_checkpoint_resume() {
+    stage checkpoint-resume
     # The checkpoint/resume promise: a faulted campaign interrupted
     # mid-run and resumed from its checkpoint emits NDJSON byte-identical
     # to an uninterrupted run, at every worker count. Then the same
     # promise for the server: kill -9 mid-job, restart on the same spool
     # dir, and the resumed job's stream must match a serial CLI run.
-    # Finally the snap-v1 format-compat gate: the committed golden
-    # fixture must still decode and re-encode bit-identically.
-    local tmpdir jobs addr addr2 server_pid job_id
+    local tmpdir jobs server_pid job_id
     tmpdir="$(mktemp -d)"
     # shellcheck disable=SC2064  # expand tmpdir now, not at trap time
     trap "rm -rf '$tmpdir'" RETURN
@@ -329,79 +342,52 @@ stage_snapshot_roundtrip() {
         --faults 0.05 --fault-seed 37 --jobs 1 --json \
         >"$tmpdir/ref.ndjson" 2>/dev/null
     for jobs in 1 2 8; do
-        echo "==> checkpoint at 2 cells, resume with --jobs $jobs"
+        echo "==> checkpoint at 2 cells with --jobs $jobs"
         "$SIM" campaign --scenarios tiny --seeds 3 --attempts 2 --bits 4 \
             --faults 0.05 --fault-seed 37 --jobs "$jobs" --json \
             --checkpoint "$tmpdir/ck_${jobs}" --stop-after-cells 2 \
             >/dev/null 2>/dev/null
-        "$SIM" campaign --resume "$tmpdir/ck_${jobs}" --jobs "$jobs" --json \
-            >"$tmpdir/resumed_${jobs}.ndjson" 2>/dev/null
-        run cmp "$tmpdir/ref.ndjson" "$tmpdir/resumed_${jobs}.ndjson"
     done
-    echo "snapshot-roundtrip: interrupted+resumed output byte-identical" \
+    same_bytes_across_jobs "$tmpdir" "1 2 8" "stdout_@J.txt" "$tmpdir/ref.ndjson" 0 \
+        --resume "@D/ck_@J" --json
+    echo "checkpoint-resume: interrupted+resumed output byte-identical" \
         "to the uninterrupted run at --jobs 1/2/8"
 
     # --- server spool survives kill -9 ---
-    "$SIM" serve --addr 127.0.0.1:0 --spool "$tmpdir/spool" \
-        >"$tmpdir/serve.log" 2>&1 &
-    server_pid=$!
-    for _ in $(seq 50); do
-        addr=$(sed -n 's/^listening on //p' "$tmpdir/serve.log")
-        [ -n "$addr" ] && break
-        sleep 0.1
-    done
-    if [ -z "$addr" ]; then
-        echo "snapshot-roundtrip: server never reported its address" >&2
-        kill "$server_pid" 2>/dev/null || true
-        return 1
-    fi
-    job_id=$("$SIM" client submit --addr "$addr" --json \
+    start_server "$tmpdir/serve.log" --spool "$tmpdir/spool"
+    server_pid=$SERVER_PID
+    job_id=$("$SIM" client submit --addr "$SERVER_ADDR" --json \
         --scenarios tiny --seeds 12 --attempts 2 --bits 4 --jobs 1 \
         | sed -n 's/.*"id": \([0-9]*\).*/\1/p')
-    echo "==> submitted job $job_id to $addr; kill -9 mid-run"
+    echo "==> submitted job $job_id to $SERVER_ADDR; kill -9 mid-run"
     sleep 0.5
     kill -9 "$server_pid"
     wait "$server_pid" 2>/dev/null || true
     if [ ! -f "$tmpdir/spool/job-${job_id}.journal" ]; then
-        echo "snapshot-roundtrip: job $job_id finished before kill -9" \
+        echo "checkpoint-resume: job $job_id finished before kill -9" \
             "(or was never spooled) — nothing to resume" >&2
         return 1
     fi
 
-    "$SIM" serve --addr 127.0.0.1:0 --spool "$tmpdir/spool" \
-        >"$tmpdir/serve2.log" 2>&1 &
-    server_pid=$!
-    for _ in $(seq 50); do
-        addr2=$(sed -n 's/^listening on //p' "$tmpdir/serve2.log")
-        [ -n "$addr2" ] && break
-        sleep 0.1
-    done
-    if [ -z "$addr2" ]; then
-        echo "snapshot-roundtrip: restarted server never reported its address" >&2
-        kill "$server_pid" 2>/dev/null || true
-        return 1
-    fi
-    echo "==> restarted on $addr2 with the same spool; streaming job $job_id"
-    "$SIM" client stream --addr "$addr2" --id "$job_id" \
+    start_server "$tmpdir/serve2.log" --spool "$tmpdir/spool"
+    server_pid=$SERVER_PID
+    echo "==> restarted with the same spool; streaming job $job_id"
+    "$SIM" client stream --addr "$SERVER_ADDR" --id "$job_id" \
         >"$tmpdir/streamed.ndjson"
     "$SIM" campaign --scenarios tiny --seeds 12 --attempts 2 --bits 4 \
         --jobs 1 --json >"$tmpdir/serial.ndjson" 2>/dev/null
     run cmp "$tmpdir/serial.ndjson" "$tmpdir/streamed.ndjson"
-    run "$SIM" client shutdown --addr "$addr2"
+    run "$SIM" client shutdown --addr "$SERVER_ADDR"
     if ! wait "$server_pid"; then
-        echo "snapshot-roundtrip: server exited non-zero after shutdown" >&2
+        echo "checkpoint-resume: server exited non-zero after shutdown" >&2
         return 1
     fi
     if compgen -G "$tmpdir/spool/job-*" >/dev/null; then
-        echo "snapshot-roundtrip: spool files left behind after job completed" >&2
+        echo "checkpoint-resume: spool files left behind after job completed" >&2
         return 1
     fi
-    echo "snapshot-roundtrip: kill -9'd job resumed from the spool" \
+    echo "checkpoint-resume: kill -9'd job resumed from the spool" \
         "byte-identical to a serial run"
-
-    # --- snap-v1 format-compat gate (golden fixture) ---
-    run cargo test -q --release --offline --locked -p hyperhammer \
-        --test snapshot_compat
 }
 
 stage_variant_matrix() {
@@ -437,7 +423,7 @@ stage_bench_diff() {
     run scripts/bench_diff.sh
 }
 
-ALL_STAGES=(build test fmt clippy bench-smoke determinism chaos scaling-sanity memory-cap server-smoke snapshot-roundtrip variant-matrix bench-diff)
+ALL_STAGES=(build test fmt clippy bench-smoke determinism chaos scaling-sanity memory-cap server-smoke checkpoint-resume variant-matrix bench-diff)
 if [ "$#" -gt 0 ]; then
     STAGES=("$@")
 else
@@ -458,7 +444,7 @@ for name in "${STAGES[@]}"; do
         scaling-sanity) stage_scaling_sanity ;;
         memory-cap) stage_memory_cap ;;
         server-smoke) stage_server_smoke ;;
-        snapshot-roundtrip) stage_snapshot_roundtrip ;;
+        checkpoint-resume) stage_checkpoint_resume ;;
         variant-matrix) stage_variant_matrix ;;
         bench-diff) stage_bench_diff ;;
         *)
