@@ -26,6 +26,7 @@ use hh_sim::rng::SimRng;
 use hyperhammer::machine::Scenario;
 use hyperhammer::parallel::{parallel_map, resolve_jobs};
 use hyperhammer::steering::RetryPolicy;
+use hyperhammer::streamref::CampaignAggregate;
 
 fn main() {
     let mut max_attempts: usize = 600;
@@ -105,12 +106,17 @@ fn main() {
     let jobs = resolve_jobs(jobs);
     eprintln!("table3: up to {max_attempts} attempts per cell on {jobs} workers...");
 
-    let rows = match seeds {
+    let (rows, aggregate) = match seeds {
         // The paper configuration: each scenario at its own seed, which
         // `run` reproduces exactly; scenarios fan out over the workers.
-        None => parallel_map(scenarios, jobs, |_, sc| {
-            hh_bench::table3::run(&sc, max_attempts, retry)
-        }),
+        None => {
+            let (rows, cells): (Vec<_>, Vec<_>) = parallel_map(scenarios, jobs, |_, sc| {
+                hh_bench::table3::run(&sc, max_attempts, retry)
+            })
+            .into_iter()
+            .unzip();
+            (rows, CampaignAggregate::merged(&cells))
+        }
         Some(count) => {
             let cell_seeds: Vec<u64> = (0..count.max(1) as u64)
                 .map(|i| SimRng::split_seed(base_seed, i))
@@ -119,13 +125,15 @@ fn main() {
         }
     };
     hh_bench::table3::print(&rows);
-    let summaries = hh_bench::table3::summarize_variants(&rows);
+    let summaries = aggregate.variant_rows();
     if summaries.len() > 1 {
         println!();
         hh_bench::table3::print_variant_summary(&summaries);
         if json {
             println!();
-            print!("{}", hh_bench::table3::variant_summary_json(&summaries));
+            for row in &summaries {
+                print!("{}", row.json_line());
+            }
         }
     }
     if paper_set {

@@ -21,6 +21,7 @@ use hyperhammer::driver::DriverParams;
 use hyperhammer::machine::{AttackVariant, Scenario};
 use hyperhammer::parallel::{CampaignGrid, CellConsumer, CellResult};
 use hyperhammer::steering::RetryPolicy;
+use hyperhammer::streamref::{CampaignAggregate, VariantRow};
 use hyperhammer::{CancelToken, MachineTemplate};
 
 /// One row of Table 3.
@@ -28,8 +29,6 @@ use hyperhammer::{CancelToken, MachineTemplate};
 pub struct Table3Row {
     /// Scenario name, `@variant`-qualified off the default variant.
     pub setting: String,
-    /// Attack variant the row's cell ran.
-    pub variant: AttackVariant,
     /// Experiment seed of this row's campaign cell.
     pub seed: u64,
     /// Mean simulated attempt duration, minutes.
@@ -54,7 +53,6 @@ impl From<&CellResult> for Table3Row {
         };
         Self {
             setting,
-            variant: r.variant,
             seed: r.seed,
             avg_attempt_mins: r.stats.avg_attempt_mins(),
             time_to_success_hours: r.stats.time_to_first_success().map(|d| d.as_hours_f64()),
@@ -66,7 +64,8 @@ impl From<&CellResult> for Table3Row {
 }
 
 /// Runs the Table 3 experiment for one scenario, at the scenario's own
-/// seed (the paper configuration). Any fault plan rides in the
+/// seed (the paper configuration); returns its row and the cell folded
+/// into a [`CampaignAggregate`]. Any fault plan rides in the
 /// scenario's host configuration ([`Scenario::with_faults`]); `retry`
 /// sets the driver's transient-fault recovery —
 /// [`RetryPolicy::standard`] reproduces earlier fault-free revisions
@@ -75,8 +74,12 @@ impl From<&CellResult> for Table3Row {
 /// # Panics
 ///
 /// Panics on hypervisor errors.
-pub fn run(scenario: &Scenario, max_attempts: usize, retry: RetryPolicy) -> Table3Row {
-    let rows = run_grid(
+pub fn run(
+    scenario: &Scenario,
+    max_attempts: usize,
+    retry: RetryPolicy,
+) -> (Table3Row, CampaignAggregate) {
+    let (rows, aggregate) = run_grid(
         vec![scenario.clone()],
         max_attempts,
         // `with_seed` at the scenario's own seed is a no-op, so this is
@@ -85,12 +88,14 @@ pub fn run(scenario: &Scenario, max_attempts: usize, retry: RetryPolicy) -> Tabl
         NonZeroUsize::new(1).expect("1 is non-zero"),
         retry,
     );
-    rows.into_iter().next().expect("one cell in, one row out")
+    let row = rows.into_iter().next().expect("one cell in, one row out");
+    (row, aggregate)
 }
 
 /// Runs a (scenario × seed) grid of Table 3 cells on `jobs` workers.
 /// Rows come back in grid order (scenario-major) regardless of worker
-/// count; per-cell completions are logged to stderr as they happen.
+/// count, with every cell folded into one [`CampaignAggregate`];
+/// per-cell completions are logged to stderr as they happen.
 ///
 /// # Panics
 ///
@@ -101,7 +106,7 @@ pub fn run_grid(
     seeds: &[u64],
     jobs: NonZeroUsize,
     retry: RetryPolicy,
-) -> Vec<Table3Row> {
+) -> (Vec<Table3Row>, CampaignAggregate) {
     let params = DriverParams {
         retry,
         ..DriverParams::paper()
@@ -111,17 +116,27 @@ pub fn run_grid(
     let refs: Vec<&MachineTemplate> = templates.iter().collect();
     let sinks = grid
         .run_streamed_resume(jobs, &refs, &CancelToken::new(), &|_| false, |_| {
-            ProgressRows(Vec::new())
+            ProgressRows::default()
         })
         .expect("campaign grid runs");
-    let mut rows: Vec<(usize, Table3Row)> = sinks.into_iter().flat_map(|s| s.0).collect();
+    let mut aggregate = CampaignAggregate::default();
+    let mut rows = Vec::new();
+    for sink in sinks {
+        aggregate.merge(&sink.aggregate);
+        rows.extend(sink.rows);
+    }
     rows.sort_unstable_by_key(|(index, _)| *index);
-    rows.into_iter().map(|(_, row)| row).collect()
+    (rows.into_iter().map(|(_, row)| row).collect(), aggregate)
 }
 
 /// Logs each cell's completion to stderr as it happens (scheduling
-/// order, liveness only) and keeps its row for the grid-order table.
-struct ProgressRows(Vec<(usize, Table3Row)>);
+/// order, liveness only), keeps its row for the grid-order table and
+/// folds it into the worker's aggregate.
+#[derive(Default)]
+struct ProgressRows {
+    rows: Vec<(usize, Table3Row)>,
+    aggregate: CampaignAggregate,
+}
 
 impl CellConsumer for ProgressRows {
     fn consume(
@@ -138,7 +153,8 @@ impl CellConsumer for ProgressRows {
                 .first_success()
                 .map_or("none".to_string(), |n| n.to_string()),
         );
-        self.0.push((index, Table3Row::from(&cell)));
+        self.aggregate.observe(&cell);
+        self.rows.push((index, Table3Row::from(&cell)));
         Ok(cell.trace.take())
     }
 }
@@ -181,54 +197,8 @@ pub fn print(rows: &[Table3Row]) {
     }
 }
 
-/// Per-variant rollup of a cross-variant Table 3 run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct VariantSummary {
-    /// The attack variant the cells ran.
-    pub variant: AttackVariant,
-    /// Cells (scenario × seed) executed with this variant.
-    pub cells: usize,
-    /// Cells that reached a success within the attempt budget.
-    pub succeeded: usize,
-    /// Attempts executed across those cells.
-    pub attempts: usize,
-}
-
-impl VariantSummary {
-    /// Successful cells over cells run.
-    #[must_use]
-    pub fn success_rate(&self) -> f64 {
-        self.succeeded as f64 / self.cells as f64
-    }
-}
-
-/// Rolls Table 3 rows up per attack variant, in [`AttackVariant::ALL`]
-/// order; variants with no rows are omitted.
-#[must_use]
-pub fn summarize_variants(rows: &[Table3Row]) -> Vec<VariantSummary> {
-    AttackVariant::ALL
-        .iter()
-        .copied()
-        .filter_map(|variant| {
-            let mine: Vec<&Table3Row> = rows.iter().filter(|r| r.variant == variant).collect();
-            if mine.is_empty() {
-                return None;
-            }
-            Some(VariantSummary {
-                variant,
-                cells: mine.len(),
-                succeeded: mine
-                    .iter()
-                    .filter(|r| r.attempts_to_success.is_some())
-                    .count(),
-                attempts: mine.iter().map(|r| r.attempts_run).sum(),
-            })
-        })
-        .collect()
-}
-
 /// Prints the per-variant success-rate comparison (text form).
-pub fn print_variant_summary(summaries: &[VariantSummary]) {
+pub fn print_variant_summary(summaries: &[VariantRow]) {
     println!("Per-variant success rate:");
     let cells: Vec<Vec<String>> = summaries
         .iter()
@@ -253,24 +223,4 @@ pub fn print_variant_summary(summaries: &[VariantSummary]) {
     for r in &cells {
         println!("{}", crate::row(r, &widths));
     }
-}
-
-/// One NDJSON line per variant summary — the machine-readable form of
-/// [`print_variant_summary`], field-compatible with the CLI campaign
-/// report's per-variant records.
-#[must_use]
-pub fn variant_summary_json(summaries: &[VariantSummary]) -> String {
-    let mut out = String::new();
-    for s in summaries {
-        out.push_str(&format!(
-            "{{\"variant\": \"{}\", \"cells\": {}, \"succeeded\": {}, \"attempts\": {}, \
-             \"success_rate\": {}}}\n",
-            s.variant.label(),
-            s.cells,
-            s.succeeded,
-            s.attempts,
-            s.success_rate(),
-        ));
-    }
-    out
 }

@@ -21,13 +21,15 @@ use hyperhammer::parallel::{
 };
 use hyperhammer::profile::{ProfileParams, Profiler};
 use hyperhammer::steering::PageSteering;
-use hyperhammer::streamref::{merge_shards, CampaignAggregate, CampaignStreamer, ShardInfo};
+use hyperhammer::streamref::{
+    merge_shards, CampaignAggregate, CampaignStreamer, ShardInfo, VariantRow,
+};
 use hyperhammer::{JobSpec, MachineTemplate};
 
-use crate::opts::{ClientAction, Command, FaultOpts, Options};
+use crate::opts::{ClientAction, Command, Options};
 use crate::output::{
     self, AttackOut, AttackVariantOut, BenchDiffOut, CampaignCellOut, ProfileOut, ReconOut,
-    ScenarioOut, SteerOut, TraceCountersOut, TraceEventOut, TraceStageOut, VariantSummaryOut,
+    ScenarioOut, SteerOut, TraceCountersOut, TraceEventOut, TraceStageOut,
 };
 
 /// Dispatches the parsed command.
@@ -42,13 +44,7 @@ pub fn run(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
         Command::Steer { blocks, spray_gib } => steer(opts, *blocks, *spray_gib),
         Command::Attack { attempts, bits } => attack(opts, *attempts, *bits),
         Command::Campaign {
-            scenarios,
-            seeds,
-            base_seed,
-            attempts,
-            bits,
-            jobs,
-            faults,
+            spec,
             checkpoint,
             resume,
             stop_after_cells,
@@ -58,26 +54,9 @@ pub fn run(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
                 (Some(path), None) => JournalMode::Create(path),
                 (None, None) => JournalMode::Off,
             };
-            campaign(
-                opts,
-                scenarios,
-                grid_spec(*seeds, *base_seed, *attempts, *bits, *faults, scenarios),
-                *jobs,
-                journal,
-                *stop_after_cells,
-            )
+            campaign(opts, spec, journal, *stop_after_cells)
         }
-        Command::Trace {
-            scenarios,
-            seeds,
-            base_seed,
-            attempts,
-            bits,
-            jobs,
-            faults,
-        } => trace(
-            opts, scenarios, *seeds, *base_seed, *attempts, *bits, *jobs, *faults,
-        ),
+        Command::Trace { spec } => trace(opts, spec),
         Command::Scenarios => {
             scenarios_cmd(opts);
             Ok(())
@@ -365,9 +344,7 @@ enum JournalMode<'a> {
 /// any `--jobs` value.
 fn campaign(
     opts: &Options,
-    scenarios: &[Scenario],
-    cli_spec: JobSpec,
-    jobs: Option<usize>,
+    cli_spec: &JobSpec,
     journal_mode: JournalMode<'_>,
     stop_after: Option<usize>,
 ) -> Result<(), Box<dyn std::error::Error>> {
@@ -384,25 +361,26 @@ fn campaign(
             (recovered.spec, Some(journal), recovered.lines)
         }
         JournalMode::Create(path) => {
-            // A journal must hold a spec its own resume accepts.
-            cli_spec.validate()?;
-            let journal = Journal::create(Path::new(path), &cli_spec)?;
-            (cli_spec, Some(journal), Vec::new())
+            // The worker count belongs to the run, not the grid: the
+            // header records `"jobs": null`.
+            let spec = JobSpec {
+                jobs: None,
+                ..cli_spec.clone()
+            };
+            let journal = Journal::create(Path::new(path), &spec)?;
+            (spec, Some(journal), Vec::new())
         }
-        JournalMode::Off => (cli_spec, None, Vec::new()),
-    };
-    let grid = match journal_mode {
-        JournalMode::Resume(_) => spec.to_grid()?,
-        _ => spec.grid_for(scenarios.to_vec()),
+        JournalMode::Off => (cli_spec.clone(), None, Vec::new()),
     };
     // --trace turns on full event recording for every cell; otherwise the
     // campaign runs untraced (the fast path the benchmarks measure).
-    let grid = grid.with_trace(if opts.trace.is_some() {
+    let mode = if opts.trace.is_some() {
         TraceMode::Full
     } else {
         TraceMode::Off
-    });
-    let jobs = resolve_jobs(jobs.or(spec.jobs));
+    };
+    let grid = campaign_grid(opts, &spec, mode)?;
+    let jobs = resolve_jobs(cli_spec.jobs.or(spec.jobs));
     let resumed = resumed_lines.iter().flatten().count();
     if !opts.json {
         match journal_mode {
@@ -616,7 +594,7 @@ fn print_in_memory(
         }
     }
     report_peak_rss();
-    let variant_rows = variant_summary_rows(aggregate);
+    let variant_rows = aggregate.variant_rows();
 
     if opts.json {
         // NDJSON: one record per cell, in grid order — the reference
@@ -700,7 +678,7 @@ fn print_streamed(
         merge_shards(trace_shards, grid.len(), &mut out)?;
     }
 
-    let variant_rows = variant_summary_rows(aggregate);
+    let variant_rows = aggregate.variant_rows();
     if opts.json {
         // Replay the merged file so stdout carries the same NDJSON
         // bytes the in-memory path prints.
@@ -802,37 +780,6 @@ fn write_ndjson<S: AsRef<str>>(
     Ok(lines)
 }
 
-/// The [`JobSpec`] describing a CLI campaign/trace grid. Both the CLI
-/// and the campaign server assemble grids through
-/// [`JobSpec::grid_for`], so their parameters (and hence output bytes)
-/// cannot drift apart. The resolved scenarios are passed to `grid_for`
-/// directly; the spec's name list mirrors them for reference only.
-fn grid_spec(
-    seeds: usize,
-    base_seed: u64,
-    attempts: usize,
-    bits: usize,
-    faults: FaultOpts,
-    scenarios: &[Scenario],
-) -> JobSpec {
-    JobSpec {
-        // lookup_name round-trips through Scenario::by_name including
-        // the @variant suffix, so checkpoints and server jobs rebuild
-        // the exact same grid.
-        scenarios: scenarios.iter().map(Scenario::lookup_name).collect(),
-        seeds,
-        base_seed,
-        attempts,
-        bits,
-        jobs: None,
-        priority: 0,
-        fault_rate: faults.rate,
-        fault_seed: faults.seed,
-        max_retries: faults.max_retries,
-        backoff_ms: faults.backoff_ms,
-    }
-}
-
 /// The cell's display name: bare for the default virtio-mem variant
 /// (keeping single-variant output byte-identical to earlier revisions),
 /// `name@variant` otherwise.
@@ -880,39 +827,16 @@ fn trace_lines(sink: Option<&TraceSink>) -> String {
     out
 }
 
-/// Per-variant success-rate rows for grids spanning several attack
-/// variants, in [`AttackVariant::ALL`] order; variants absent from the
-/// grid are omitted.
-fn variant_summary_rows(aggregate: &CampaignAggregate) -> Vec<VariantSummaryOut> {
-    AttackVariant::ALL
-        .iter()
-        .copied()
-        .filter(|v| aggregate.variant_cells[v.index()] > 0)
-        .map(|v| {
-            let i = v.index();
-            let cells = aggregate.variant_cells[i];
-            let succeeded = aggregate.variant_succeeded[i];
-            VariantSummaryOut {
-                variant: v.label().to_string(),
-                cells,
-                succeeded,
-                attempts: aggregate.variant_attempts[i],
-                success_rate: succeeded as f64 / cells as f64,
-            }
-        })
-        .collect()
-}
-
 /// Prints the cross-variant comparison report. Single-variant grids
 /// (the common case, and everything pre-existing CI byte-compares)
 /// print nothing, so their output is unchanged.
-fn print_variant_report(rows: &[VariantSummaryOut], json: bool) {
+fn print_variant_report(rows: &[VariantRow], json: bool) {
     if rows.len() < 2 {
         return;
     }
     if json {
         for row in rows {
-            println!("{}", output::to_json_line(row));
+            print!("{}", row.json_line());
         }
         return;
     }
@@ -921,13 +845,29 @@ fn print_variant_report(rows: &[VariantSummaryOut], json: bool) {
     for row in rows {
         println!(
             "  {:>10}: {}/{} cells succeeded ({:.0}% over {} attempts)",
-            row.variant,
+            row.variant.label(),
             row.succeeded,
             row.cells,
-            row.success_rate * 100.0,
+            row.success_rate() * 100.0,
             row.attempts
         );
     }
+}
+
+/// Builds the grid `campaign` and `trace` run: the spec's grid, with the
+/// CLI-only `--quarantine` countermeasure applied to every row.
+pub fn campaign_grid(
+    opts: &Options,
+    spec: &JobSpec,
+    trace: TraceMode,
+) -> Result<CampaignGrid, String> {
+    let grid = spec.to_grid()?;
+    let grid = if opts.quarantine {
+        grid.with_quarantine()
+    } else {
+        grid
+    };
+    Ok(grid.with_trace(trace))
 }
 
 /// Reports the process's peak RSS on stderr (keeping stdout
@@ -938,17 +878,7 @@ fn report_peak_rss() {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn trace(
-    opts: &Options,
-    scenarios: &[Scenario],
-    seeds: usize,
-    base_seed: u64,
-    attempts: usize,
-    bits: usize,
-    jobs: Option<usize>,
-    faults: FaultOpts,
-) -> Result<(), Box<dyn std::error::Error>> {
+fn trace(opts: &Options, spec: &JobSpec) -> Result<(), Box<dyn std::error::Error>> {
     // Metrics stay cheap; the full event stream is only recorded when the
     // caller asked for an NDJSON file to put it in.
     let mode = if opts.trace.is_some() {
@@ -956,16 +886,14 @@ fn trace(
     } else {
         TraceMode::Metrics
     };
-    let grid = grid_spec(seeds, base_seed, attempts, bits, faults, scenarios)
-        .grid_for(scenarios.to_vec())
-        .with_trace(mode);
-    let jobs = resolve_jobs(jobs);
+    let grid = campaign_grid(opts, spec, mode)?;
+    let jobs = resolve_jobs(spec.jobs);
     if !opts.json {
         println!(
             "trace: {} cells ({} scenarios x {} seeds) on {} workers",
             grid.len(),
-            scenarios.len(),
-            seeds,
+            spec.scenarios.len(),
+            spec.seeds,
             jobs
         );
     }
@@ -991,7 +919,13 @@ fn trace(
         }
     }
 
-    let stages: Vec<TraceStageOut> = Stage::ALL
+    // Only stages some cell entered: a grid's variants skip the
+    // other variants' stages, and empty rows carry no information.
+    let entered: Vec<Stage> = Stage::ALL
+        .into_iter()
+        .filter(|&stage| merged.stage_entries(stage) > 0)
+        .collect();
+    let stages: Vec<TraceStageOut> = entered
         .iter()
         .map(|&stage| TraceStageOut {
             stage: stage.name().to_string(),
@@ -1018,7 +952,7 @@ fn trace(
 
     use hh_bench::harness::{fit_widths, header, row};
     let names = ["stage", "entries", "sim time", "activations"];
-    let rows: Vec<Vec<String>> = Stage::ALL
+    let rows: Vec<Vec<String>> = entered
         .iter()
         .map(|&stage| {
             vec![

@@ -2,10 +2,7 @@
 //! dependency set minimal; a CLI-args crate is not worth a tree of
 //! transitive dependencies for five flags).
 
-use hh_hv::FaultConfig;
-use hh_sim::clock::SimDuration;
 use hyperhammer::machine::{AttackVariant, Scenario};
-use hyperhammer::steering::RetryPolicy;
 use hyperhammer::JobSpec;
 
 /// Usage text.
@@ -118,6 +115,10 @@ pub struct Options {
     pub scenario: Scenario,
     /// Emit JSON instead of human-readable text.
     pub json: bool,
+    /// The §6 virtio-mem quarantine countermeasure (`--quarantine`):
+    /// already applied to [`Options::scenario`]; `campaign` and `trace`
+    /// apply it to every grid row. Job specs cannot carry it.
+    pub quarantine: bool,
     /// Write an NDJSON trace-event stream to this path (campaign/trace).
     pub trace: Option<String>,
     /// Stream campaign output through NDJSON shards in this directory
@@ -125,52 +126,8 @@ pub struct Options {
     pub stream_out: Option<String>,
 }
 
-/// Fault-injection and recovery knobs shared by `campaign` and `trace`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultOpts {
-    /// Uniform injection rate per choke-point operation (0 disables).
-    pub rate: f64,
-    /// Fault-stream seed (`--fault-seed`).
-    pub seed: u64,
-    /// Retries per faulted operation (`--max-retries`).
-    pub max_retries: u32,
-    /// Simulated backoff per retry in milliseconds (`--backoff`).
-    pub backoff_ms: u64,
-}
-
-impl Default for FaultOpts {
-    fn default() -> Self {
-        Self {
-            rate: 0.0,
-            seed: 0,
-            max_retries: 4,
-            backoff_ms: 10,
-        }
-    }
-}
-
-impl FaultOpts {
-    /// The host-side fault plan these options describe.
-    pub fn fault_config(&self) -> FaultConfig {
-        FaultConfig::uniform(self.rate).with_seed(self.seed)
-    }
-
-    /// The driver-side recovery policy these options describe.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        RetryPolicy {
-            max_retries: self.max_retries,
-            backoff: SimDuration::from_millis(self.backoff_ms),
-            degrade: true,
-        }
-    }
-}
-
 /// Subcommands with their parameters.
-///
-/// `PartialEq` is hand-written because [`Scenario`] is a config bundle
-/// without (and not worth) structural equality; grid scenarios compare
-/// by preset name.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Command {
     /// DRAM address-map recovery.
     Recon,
@@ -195,20 +152,8 @@ pub enum Command {
     },
     /// Parallel campaign sweep over a (scenario × seed) grid.
     Campaign {
-        /// Scenario presets forming the grid rows.
-        scenarios: Vec<Scenario>,
-        /// Number of experiment seeds per scenario.
-        seeds: usize,
-        /// Base seed the per-cell seeds are split from.
-        base_seed: u64,
-        /// Maximum attempts per cell.
-        attempts: usize,
-        /// Vulnerable bits targeted per attempt.
-        bits: usize,
-        /// Worker threads (`None`: available parallelism).
-        jobs: Option<usize>,
-        /// Fault-injection and recovery knobs.
-        faults: FaultOpts,
+        /// The grid, built from the grid flags (`jobs` is `--jobs`).
+        spec: JobSpec,
         /// Journal finished cells to this checkpoint file.
         checkpoint: Option<String>,
         /// Resume the run recorded in this checkpoint file.
@@ -218,20 +163,8 @@ pub enum Command {
     },
     /// Campaign grid with tracing on; prints the per-stage breakdown.
     Trace {
-        /// Scenario presets forming the grid rows.
-        scenarios: Vec<Scenario>,
-        /// Number of experiment seeds per scenario.
-        seeds: usize,
-        /// Base seed the per-cell seeds are split from.
-        base_seed: u64,
-        /// Maximum attempts per cell.
-        attempts: usize,
-        /// Vulnerable bits targeted per attempt.
-        bits: usize,
-        /// Worker threads (`None`: available parallelism).
-        jobs: Option<usize>,
-        /// Fault-injection and recovery knobs.
-        faults: FaultOpts,
+        /// The grid, built from the grid flags (`jobs` is `--jobs`).
+        spec: JobSpec,
     },
     /// List the registered scenario presets.
     Scenarios,
@@ -289,197 +222,53 @@ pub enum ClientAction {
     Shutdown,
 }
 
-impl PartialEq for Command {
-    fn eq(&self, other: &Self) -> bool {
-        match (self, other) {
-            (Self::Recon, Self::Recon)
-            | (Self::Analyse, Self::Analyse)
-            | (Self::Scenarios, Self::Scenarios) => true,
-            (
-                Self::Serve {
-                    addr: a,
-                    spool: asp,
-                },
-                Self::Serve {
-                    addr: b,
-                    spool: bsp,
-                },
-            ) => a == b && asp == bsp,
-            (
-                Self::Client {
-                    addr: aa,
-                    action: ac,
-                },
-                Self::Client {
-                    addr: ba,
-                    action: bc,
-                },
-            ) => aa == ba && ac == bc,
-            (
-                Self::BenchDiff {
-                    baseline: ab,
-                    current: ac,
-                    tolerance: at,
-                },
-                Self::BenchDiff {
-                    baseline: bb,
-                    current: bc,
-                    tolerance: bt,
-                },
-            ) => ab == bb && ac == bc && at == bt,
-            (Self::Profile { stop_after: a }, Self::Profile { stop_after: b }) => a == b,
-            (
-                Self::Steer {
-                    blocks: ab,
-                    spray_gib: asg,
-                },
-                Self::Steer {
-                    blocks: bb,
-                    spray_gib: bsg,
-                },
-            ) => ab == bb && asg == bsg,
-            (
-                Self::Attack {
-                    attempts: aa,
-                    bits: ab,
-                },
-                Self::Attack {
-                    attempts: ba,
-                    bits: bb,
-                },
-            ) => aa == ba && ab == bb,
-            (
-                Self::Campaign {
-                    scenarios: asc,
-                    seeds: ase,
-                    base_seed: abs,
-                    attempts: aat,
-                    bits: abi,
-                    jobs: aj,
-                    faults: af,
-                    checkpoint: ack,
-                    resume: ar,
-                    stop_after_cells: asa,
-                },
-                Self::Campaign {
-                    scenarios: bsc,
-                    seeds: bse,
-                    base_seed: bbs,
-                    attempts: bat,
-                    bits: bbi,
-                    jobs: bj,
-                    faults: bf,
-                    checkpoint: bck,
-                    resume: br,
-                    stop_after_cells: bsa,
-                },
-            ) => {
-                asc.len() == bsc.len()
-                    && asc
-                        .iter()
-                        .zip(bsc)
-                        .all(|(a, b)| a.name == b.name && a.variant() == b.variant())
-                    && ase == bse
-                    && abs == bbs
-                    && aat == bat
-                    && abi == bbi
-                    && aj == bj
-                    && af == bf
-                    && ack == bck
-                    && ar == br
-                    && asa == bsa
-            }
-            (
-                Self::Trace {
-                    scenarios: asc,
-                    seeds: ase,
-                    base_seed: abs,
-                    attempts: aat,
-                    bits: abi,
-                    jobs: aj,
-                    faults: af,
-                },
-                Self::Trace {
-                    scenarios: bsc,
-                    seeds: bse,
-                    base_seed: bbs,
-                    attempts: bat,
-                    bits: bbi,
-                    jobs: bj,
-                    faults: bf,
-                },
-            ) => {
-                asc.len() == bsc.len()
-                    && asc
-                        .iter()
-                        .zip(bsc)
-                        .all(|(a, b)| a.name == b.name && a.variant() == b.variant())
-                    && ase == bse
-                    && abs == bbs
-                    && aat == bat
-                    && abi == bbi
-                    && aj == bj
-                    && af == bf
-            }
-            _ => false,
-        }
-    }
-}
-
-fn scenario_by_name(name: &str) -> Result<Scenario, String> {
-    Scenario::by_name(name)
-}
-
-/// Expands and validates a `--scenarios` list.
+/// Expands and validates a `--scenarios` list into canonical lookup
+/// names ([`Scenario::lookup_name`]), the form job specs store.
 ///
 /// Entries are trimmed, empty entries (doubled/trailing commas) are
 /// rejected, and duplicates are dropped keeping first-occurrence order.
 /// Two expansion keywords cross into the attack-variant dimension:
 /// `all` is every registered scenario × every variant, and `name@all`
-/// is one scenario × every variant. Scenario-name validation stays with
-/// [`Scenario::by_name`] at grid construction, except `name@all`'s base
-/// which must be checked here to expand it.
+/// is one scenario × every variant.
 fn expand_scenario_names(raw: &str) -> Result<Vec<String>, String> {
-    fn push_unique(out: &mut Vec<String>, name: String) {
-        if !out.contains(&name) {
-            out.push(name);
-        }
+    fn every_variant(base: &str) -> Result<Vec<String>, String> {
+        let scenario = Scenario::by_name(base)?;
+        Ok(AttackVariant::ALL
+            .iter()
+            .map(|&v| scenario.clone().with_variant(v).lookup_name())
+            .collect())
     }
-    fn qualified(base: &str, variant: AttackVariant) -> String {
-        if variant == AttackVariant::default() {
-            base.to_string()
-        } else {
-            format!("{base}@{}", variant.label())
-        }
-    }
-    let mut out = Vec::new();
+    let mut out: Vec<String> = Vec::new();
     for entry in raw.split(',') {
         let entry = entry.trim();
         if entry.is_empty() {
             return Err("--scenarios has an empty entry (doubled or trailing comma?)".to_string());
         }
-        if entry == "all" {
+        let names = if entry == "all" {
+            let mut names = Vec::new();
             for info in Scenario::registry() {
-                for variant in AttackVariant::ALL {
-                    push_unique(&mut out, qualified(info.name, variant));
-                }
+                names.extend(every_variant(info.name)?);
             }
+            names
         } else if let Some(base) = entry.strip_suffix("@all") {
-            // Validate the base now, so `mars@all` fails with the
-            // scenario error rather than expanding into five bad names.
-            scenario_by_name(base)?;
-            for variant in AttackVariant::ALL {
-                push_unique(&mut out, qualified(base, variant));
-            }
+            every_variant(base)?
         } else {
-            push_unique(&mut out, entry.to_string());
+            vec![Scenario::by_name(entry)?.lookup_name()]
+        };
+        for name in names {
+            if !out.contains(&name) {
+                out.push(name);
+            }
         }
     }
     Ok(out)
 }
 
 impl Options {
-    /// Parses the argument vector.
+    /// Parses the argument vector. The campaign grid flags parse
+    /// straight into a [`JobSpec`] — one flag per job-spec key — which
+    /// `campaign`, `trace` and `client submit` validate with
+    /// [`JobSpec::validate`], the check `POST /jobs` applies.
     ///
     /// # Errors
     ///
@@ -499,20 +288,15 @@ impl Options {
             None
         };
 
+        let mut spec = JobSpec::default();
         let mut scenario_name = "small".to_string();
+        let mut scenarios: Option<Vec<String>> = None;
         let mut seed: Option<u64> = None;
         let mut json = false;
         let mut quarantine = false;
         let mut stop_after: Option<usize> = None;
         let mut blocks: u64 = 8;
         let mut spray_gib: u64 = 2;
-        let mut attempts: usize = 50;
-        let mut bits: usize = 12;
-        let mut scenarios: Option<Vec<String>> = None;
-        let mut grid_seeds: usize = 1;
-        let mut base_seed: u64 = 0;
-        let mut jobs: Option<usize> = None;
-        let mut fault_opts = FaultOpts::default();
         let mut trace: Option<String> = None;
         let mut stream_out: Option<String> = None;
         let mut checkpoint: Option<String> = None;
@@ -561,56 +345,50 @@ impl Options {
                         .map_err(|e| format!("bad --spray-gib: {e}"))?
                 }
                 "--attempts" => {
-                    attempts = value("--attempts")?
+                    spec.attempts = value("--attempts")?
                         .parse()
                         .map_err(|e| format!("bad --attempts: {e}"))?
                 }
                 "--bits" => {
-                    bits = value("--bits")?
+                    spec.bits = value("--bits")?
                         .parse()
                         .map_err(|e| format!("bad --bits: {e}"))?
                 }
                 "--scenarios" => scenarios = Some(expand_scenario_names(&value("--scenarios")?)?),
                 "--seeds" => {
-                    grid_seeds = value("--seeds")?
+                    spec.seeds = value("--seeds")?
                         .parse()
-                        .map_err(|e| format!("bad --seeds: {e}"))?;
-                    if grid_seeds == 0 {
-                        return Err("--seeds must be at least 1".to_string());
-                    }
+                        .map_err(|e| format!("bad --seeds: {e}"))?
                 }
                 "--base-seed" => {
-                    base_seed = value("--base-seed")?
+                    spec.base_seed = value("--base-seed")?
                         .parse()
                         .map_err(|e| format!("bad --base-seed: {e}"))?
                 }
                 "--jobs" => {
-                    jobs = Some(
+                    spec.jobs = Some(
                         value("--jobs")?
                             .parse()
                             .map_err(|e| format!("bad --jobs: {e}"))?,
                     )
                 }
                 "--faults" => {
-                    fault_opts.rate = value("--faults")?
+                    spec.fault_rate = value("--faults")?
                         .parse()
-                        .map_err(|e| format!("bad --faults: {e}"))?;
-                    if !(fault_opts.rate.is_finite() && (0.0..=1.0).contains(&fault_opts.rate)) {
-                        return Err("--faults must be a rate in 0..=1".to_string());
-                    }
+                        .map_err(|e| format!("bad --faults: {e}"))?
                 }
                 "--fault-seed" => {
-                    fault_opts.seed = value("--fault-seed")?
+                    spec.fault_seed = value("--fault-seed")?
                         .parse()
                         .map_err(|e| format!("bad --fault-seed: {e}"))?
                 }
                 "--max-retries" => {
-                    fault_opts.max_retries = value("--max-retries")?
+                    spec.max_retries = value("--max-retries")?
                         .parse()
                         .map_err(|e| format!("bad --max-retries: {e}"))?
                 }
                 "--backoff" => {
-                    fault_opts.backoff_ms = value("--backoff")?
+                    spec.backoff_ms = value("--backoff")?
                         .parse()
                         .map_err(|e| format!("bad --backoff: {e}"))?
                 }
@@ -655,9 +433,13 @@ impl Options {
             }
         }
 
-        let mut scenario = scenario_by_name(&scenario_name)?;
+        let mut scenario = Scenario::by_name(&scenario_name)?;
+        // The grid defaults to the single --scenario selection;
+        // --scenarios widens it. --seed doubles as the grid's base seed.
+        spec.scenarios = scenarios.unwrap_or_else(|| vec![scenario.lookup_name()]);
         if let Some(seed) = seed {
             scenario = scenario.with_seed(seed);
+            spec.base_seed = seed;
         }
         if quarantine {
             scenario = scenario.with_quarantine();
@@ -667,71 +449,44 @@ impl Options {
             "recon" => Command::Recon,
             "profile" => Command::Profile { stop_after },
             "steer" => Command::Steer { blocks, spray_gib },
-            "attack" => Command::Attack { attempts, bits },
-            "campaign" | "trace" => {
-                // The grid defaults to the single --scenario selection;
-                // --scenarios widens it. Quarantine applies to every row.
-                let mut grid_scenarios = match &scenarios {
-                    Some(names) => names
-                        .iter()
-                        .map(|n| scenario_by_name(n))
-                        .collect::<Result<Vec<_>, _>>()?,
-                    None => vec![scenario_by_name(&scenario_name)?],
-                };
-                if quarantine {
-                    grid_scenarios = grid_scenarios
-                        .into_iter()
-                        .map(Scenario::with_quarantine)
-                        .collect();
+            "attack" => Command::Attack {
+                attempts: spec.attempts,
+                bits: spec.bits,
+            },
+            "campaign" => {
+                spec.validate()?;
+                if checkpoint.is_some() && resume.is_some() {
+                    return Err("--checkpoint and --resume are mutually exclusive \
+                         (--resume keeps appending to its own file)"
+                        .to_string());
                 }
-                let base_seed = seed.unwrap_or(base_seed);
-                if command_name == "campaign" {
-                    if checkpoint.is_some() && resume.is_some() {
-                        return Err("--checkpoint and --resume are mutually exclusive \
-                             (--resume keeps appending to its own file)"
-                            .to_string());
-                    }
-                    let checkpointing = checkpoint.is_some() || resume.is_some();
-                    // The checkpoint header is a job spec, which (like
-                    // the job API) cannot carry the quarantine knob — a
-                    // resumed grid would silently drop it.
-                    if checkpointing && quarantine {
-                        return Err("--quarantine is not recorded in checkpoints".to_string());
-                    }
-                    if checkpointing && (trace.is_some() || stream_out.is_some()) {
-                        return Err(
-                            "checkpointing does not combine with --trace or --stream-out"
-                                .to_string(),
-                        );
-                    }
-                    if stop_after_cells.is_some() && !checkpointing {
-                        return Err("--stop-after-cells needs --checkpoint or --resume \
-                             (a deliberately partial run must be resumable)"
-                            .to_string());
-                    }
-                    Command::Campaign {
-                        scenarios: grid_scenarios,
-                        seeds: grid_seeds,
-                        base_seed,
-                        attempts,
-                        bits,
-                        jobs,
-                        faults: fault_opts,
-                        checkpoint,
-                        resume,
-                        stop_after_cells,
-                    }
-                } else {
-                    Command::Trace {
-                        scenarios: grid_scenarios,
-                        seeds: grid_seeds,
-                        base_seed,
-                        attempts,
-                        bits,
-                        jobs,
-                        faults: fault_opts,
-                    }
+                let checkpointing = checkpoint.is_some() || resume.is_some();
+                // The checkpoint header is a job spec, which (like the
+                // job API) cannot carry the quarantine knob — a resumed
+                // grid would silently drop it.
+                if checkpointing && quarantine {
+                    return Err("--quarantine is not recorded in checkpoints".to_string());
                 }
+                if checkpointing && (trace.is_some() || stream_out.is_some()) {
+                    return Err(
+                        "checkpointing does not combine with --trace or --stream-out".to_string(),
+                    );
+                }
+                if stop_after_cells.is_some() && !checkpointing {
+                    return Err("--stop-after-cells needs --checkpoint or --resume \
+                         (a deliberately partial run must be resumable)"
+                        .to_string());
+                }
+                Command::Campaign {
+                    spec,
+                    checkpoint,
+                    resume,
+                    stop_after_cells,
+                }
+            }
+            "trace" => {
+                spec.validate()?;
+                Command::Trace { spec }
             }
             "scenarios" => Command::Scenarios,
             "serve" => Command::Serve { addr, spool },
@@ -744,25 +499,12 @@ impl Options {
                                 "--quarantine is not supported over the job API".to_string()
                             );
                         }
-                        let spec = JobSpec {
-                            scenarios: scenarios
-                                .clone()
-                                .unwrap_or_else(|| vec![scenario_name.clone()]),
-                            seeds: grid_seeds,
-                            base_seed: seed.unwrap_or(base_seed),
-                            attempts,
-                            bits,
-                            jobs,
-                            priority,
-                            fault_rate: fault_opts.rate,
-                            fault_seed: fault_opts.seed,
-                            max_retries: fault_opts.max_retries,
-                            backoff_ms: fault_opts.backoff_ms,
-                        };
-                        // Fail on unknown scenario names here, with the
-                        // registered list, instead of at the server.
+                        // Fail on a bad spec here, with the registered
+                        // scenario list, instead of at the server.
                         spec.validate()?;
-                        ClientAction::Submit { spec }
+                        ClientAction::Submit {
+                            spec: JobSpec { priority, ..spec },
+                        }
                     }
                     Some("status") => ClientAction::Status { id: need_id()? },
                     Some("stream") => ClientAction::Stream { id: need_id()? },
@@ -789,6 +531,7 @@ impl Options {
             command,
             scenario,
             json,
+            quarantine,
             trace,
             stream_out,
         })
@@ -858,37 +601,26 @@ mod tests {
         );
     }
 
-    #[test]
-    fn campaign_defaults_and_grid_flags() {
-        let o = parse(&["campaign"]).unwrap();
-        match &o.command {
-            Command::Campaign {
-                scenarios,
-                seeds,
-                base_seed,
-                attempts,
-                bits,
-                jobs,
-                faults,
-                checkpoint,
-                resume,
-                stop_after_cells,
-            } => {
-                assert_eq!(scenarios.len(), 1);
-                assert_eq!(scenarios[0].name, "small");
-                assert_eq!(*seeds, 1);
-                assert_eq!(*base_seed, 0);
-                assert_eq!(*attempts, 50);
-                assert_eq!(*bits, 12);
-                assert_eq!(*jobs, None);
-                assert_eq!(*faults, FaultOpts::default());
-                assert!(!faults.fault_config().is_active());
-                assert_eq!(*checkpoint, None);
-                assert_eq!(*resume, None);
-                assert_eq!(*stop_after_cells, None);
-            }
+    /// The grid a `campaign` command line parsed into.
+    fn campaign_spec(words: &[&str]) -> JobSpec {
+        match parse(words).unwrap().command {
+            Command::Campaign { spec, .. } => spec,
             other => panic!("expected campaign, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn campaign_defaults_and_grid_flags() {
+        // The defaults are the job API's defaults.
+        assert_eq!(
+            parse(&["campaign"]).unwrap().command,
+            Command::Campaign {
+                spec: JobSpec::default(),
+                checkpoint: None,
+                resume: None,
+                stop_after_cells: None,
+            }
+        );
 
         let o = parse(&[
             "campaign",
@@ -906,24 +638,24 @@ mod tests {
             "2",
         ])
         .unwrap();
-        match &o.command {
-            Command::Campaign {
-                scenarios,
-                seeds,
-                base_seed,
-                jobs,
-                ..
-            } => {
-                assert_eq!(
-                    scenarios.iter().map(|s| s.name).collect::<Vec<_>>(),
-                    ["tiny", "S1"]
-                );
-                assert_eq!(*seeds, 3);
-                assert_eq!(*base_seed, 42);
-                assert_eq!(*jobs, Some(2));
+        // Each grid flag sets the job-spec key of the same name.
+        let Command::Campaign { spec, .. } = o.command else {
+            panic!("expected campaign, got {:?}", o.command)
+        };
+        assert_eq!(
+            spec,
+            JobSpec {
+                scenarios: vec!["tiny".to_string(), "s1".to_string()],
+                seeds: 3,
+                base_seed: 42,
+                attempts: 5,
+                bits: 4,
+                jobs: Some(2),
+                ..JobSpec::default()
             }
-            other => panic!("expected campaign, got {other:?}"),
-        }
+        );
+        // --seed doubles as the grid's base seed.
+        assert_eq!(campaign_spec(&["campaign", "--seed", "9"]).base_seed, 9);
     }
 
     #[test]
@@ -959,22 +691,20 @@ mod tests {
             "2",
         ])
         .unwrap();
-        match &o.command {
+        assert_eq!(
+            o.command,
             Command::Trace {
-                scenarios,
-                seeds,
-                base_seed,
-                attempts,
-                bits,
-                jobs,
-                ..
-            } => {
-                assert_eq!(scenarios[0].name, "tiny");
-                assert_eq!((*seeds, *base_seed), (2, 7));
-                assert_eq!((*attempts, *bits, *jobs), (3, 4, Some(2)));
+                spec: JobSpec {
+                    scenarios: vec!["tiny".to_string()],
+                    seeds: 2,
+                    base_seed: 7,
+                    attempts: 3,
+                    bits: 4,
+                    jobs: Some(2),
+                    ..JobSpec::default()
+                }
             }
-            other => panic!("expected trace, got {other:?}"),
-        }
+        );
         // --trace needs a path.
         assert!(parse(&["campaign", "--trace"]).is_err());
     }
@@ -1000,7 +730,7 @@ mod tests {
 
     #[test]
     fn fault_flags() {
-        let o = parse(&[
+        let spec = campaign_spec(&[
             "campaign",
             "--faults",
             "0.05",
@@ -1010,29 +740,24 @@ mod tests {
             "2",
             "--backoff",
             "25",
-        ])
-        .unwrap();
-        match &o.command {
-            Command::Campaign { faults, .. } => {
-                assert_eq!(
-                    *faults,
-                    FaultOpts {
-                        rate: 0.05,
-                        seed: 11,
-                        max_retries: 2,
-                        backoff_ms: 25,
-                    }
-                );
-                let config = faults.fault_config();
-                assert!(config.is_active());
-                assert_eq!(config.seed, 11);
-                let retry = faults.retry_policy();
-                assert_eq!(retry.max_retries, 2);
-                assert_eq!(retry.backoff, SimDuration::from_millis(25));
-                assert!(retry.degrade);
-            }
-            other => panic!("expected campaign, got {other:?}"),
-        }
+        ]);
+        assert_eq!(
+            (
+                spec.fault_rate,
+                spec.fault_seed,
+                spec.max_retries,
+                spec.backoff_ms
+            ),
+            (0.05, 11, 2, 25)
+        );
+        let config = spec.fault_config();
+        assert!(config.is_active());
+        assert_eq!(config.seed, 11);
+        let retry = spec.retry_policy();
+        assert_eq!(retry.max_retries, 2);
+        assert_eq!(retry.backoff, hh_sim::clock::SimDuration::from_millis(25));
+        assert!(retry.degrade);
+        assert!(!JobSpec::default().fault_config().is_active());
         // The rate must be a probability.
         assert!(parse(&["campaign", "--faults", "1.5"]).is_err());
         assert!(parse(&["campaign", "--faults", "-0.1"]).is_err());
@@ -1065,18 +790,19 @@ mod tests {
             }
             other => panic!("expected campaign, got {other:?}"),
         }
-        // Resume carries its own grid; only the path travels.
+        // Resume carries its own grid; only the path and the worker
+        // count travel.
         let o = parse(&["campaign", "--resume", "ck.bin", "--jobs", "2"]).unwrap();
         match &o.command {
             Command::Campaign {
+                spec,
                 resume,
                 checkpoint,
-                jobs,
                 ..
             } => {
                 assert_eq!(resume.as_deref(), Some("ck.bin"));
                 assert_eq!(*checkpoint, None);
-                assert_eq!(*jobs, Some(2));
+                assert_eq!(spec.jobs, Some(2));
             }
             other => panic!("expected campaign, got {other:?}"),
         }
@@ -1095,13 +821,30 @@ mod tests {
 
     #[test]
     fn campaign_quarantine_applies_to_grid() {
-        let o = parse(&["campaign", "--scenarios", "tiny", "--quarantine"]).unwrap();
-        match &o.command {
-            Command::Campaign { scenarios, .. } => assert_eq!(
-                scenarios[0].host_config().quarantine,
-                hh_hv::QuarantinePolicy::QemuPatch
-            ),
-            other => panic!("expected campaign, got {other:?}"),
+        use crate::commands::campaign_grid;
+        use hh_hv::QuarantinePolicy;
+        use hh_trace::TraceMode;
+        // `campaign` and `trace` both run the grid `campaign_grid` builds.
+        for command in ["campaign", "trace"] {
+            for (quarantine, policy) in [
+                (false, QuarantinePolicy::Off),
+                (true, QuarantinePolicy::QemuPatch),
+            ] {
+                let mut words = vec![command, "--scenarios", "tiny,micro@balloon"];
+                if quarantine {
+                    words.push("--quarantine");
+                }
+                let o = parse(&words).unwrap();
+                let spec = match &o.command {
+                    Command::Campaign { spec, .. } | Command::Trace { spec } => spec,
+                    other => panic!("expected {command}, got {other:?}"),
+                };
+                let grid = campaign_grid(&o, spec, TraceMode::Off).unwrap();
+                assert_eq!(grid.scenarios().len(), 2);
+                for scenario in grid.scenarios() {
+                    assert_eq!(scenario.host_config().quarantine, policy, "{words:?}");
+                }
+            }
         }
     }
 
@@ -1263,23 +1006,12 @@ mod tests {
     #[test]
     fn scenario_lists_are_trimmed_and_deduped() {
         // Whitespace around entries is insignificant.
-        let o = parse(&["campaign", "--scenarios", " tiny , s1 "]).unwrap();
-        match &o.command {
-            Command::Campaign { scenarios, .. } => assert_eq!(
-                scenarios.iter().map(|s| s.name).collect::<Vec<_>>(),
-                ["tiny", "S1"]
-            ),
-            other => panic!("expected campaign, got {other:?}"),
-        }
-        // Duplicates collapse, keeping first-occurrence order.
-        let o = parse(&["campaign", "--scenarios", "s1,tiny,s1,tiny"]).unwrap();
-        match &o.command {
-            Command::Campaign { scenarios, .. } => assert_eq!(
-                scenarios.iter().map(|s| s.name).collect::<Vec<_>>(),
-                ["S1", "tiny"]
-            ),
-            other => panic!("expected campaign, got {other:?}"),
-        }
+        let spec = campaign_spec(&["campaign", "--scenarios", " tiny , s1 "]);
+        assert_eq!(spec.scenarios, ["tiny", "s1"]);
+        // Duplicates collapse, keeping first-occurrence order; names are
+        // compared in canonical form.
+        let spec = campaign_spec(&["campaign", "--scenarios", "s1,tiny,s1,tiny@virtio-mem"]);
+        assert_eq!(spec.scenarios, ["s1", "tiny"]);
         // Empty entries are an error, not silently-dropped cells.
         for bad in ["tiny,", ",tiny", "tiny,,s1", " , "] {
             let err = parse(&["campaign", "--scenarios", bad]).unwrap_err();
@@ -1289,38 +1021,28 @@ mod tests {
 
     #[test]
     fn scenario_lists_expand_variants() {
+        let variants = |spec: &JobSpec| -> Vec<AttackVariant> {
+            let grid = spec.to_grid().unwrap();
+            grid.scenarios().iter().map(Scenario::variant).collect()
+        };
         // `name@all` crosses one scenario with every attack variant.
-        let o = parse(&["campaign", "--scenarios", "tiny@all"]).unwrap();
-        match &o.command {
-            Command::Campaign { scenarios, .. } => {
-                assert_eq!(scenarios.len(), AttackVariant::COUNT);
-                assert!(scenarios.iter().all(|s| s.name == "tiny"));
-                let variants: Vec<AttackVariant> = scenarios.iter().map(|s| s.variant()).collect();
-                assert_eq!(variants, AttackVariant::ALL);
-            }
-            other => panic!("expected campaign, got {other:?}"),
-        }
+        let spec = campaign_spec(&["campaign", "--scenarios", "tiny@all"]);
+        assert_eq!(spec.scenarios.len(), AttackVariant::COUNT);
+        assert!(spec.scenarios.iter().all(|s| s.starts_with("tiny")));
+        assert_eq!(variants(&spec), AttackVariant::ALL);
         // `all` is the full registry × variant matrix, deduped.
-        let o = parse(&["campaign", "--scenarios", "all,tiny,s1@xen"]).unwrap();
-        match &o.command {
-            Command::Campaign { scenarios, .. } => {
-                assert_eq!(
-                    scenarios.len(),
-                    Scenario::registry().len() * AttackVariant::COUNT
-                );
-            }
-            other => panic!("expected campaign, got {other:?}"),
-        }
+        let spec = campaign_spec(&["campaign", "--scenarios", "all,tiny,s1@xen"]);
+        assert_eq!(
+            spec.scenarios.len(),
+            Scenario::registry().len() * AttackVariant::COUNT
+        );
         // Explicit variant suffixes parse; bad ones fail loudly.
-        let o = parse(&["campaign", "--scenarios", "tiny@balloon,tiny"]).unwrap();
-        match &o.command {
-            Command::Campaign { scenarios, .. } => {
-                assert_eq!(scenarios.len(), 2, "variants are distinct grid rows");
-                assert_eq!(scenarios[0].variant(), AttackVariant::Balloon);
-                assert_eq!(scenarios[1].variant(), AttackVariant::VirtioMem);
-            }
-            other => panic!("expected campaign, got {other:?}"),
-        }
+        let spec = campaign_spec(&["campaign", "--scenarios", "tiny@balloon,tiny"]);
+        assert_eq!(spec.scenarios.len(), 2, "variants are distinct grid rows");
+        assert_eq!(
+            variants(&spec),
+            [AttackVariant::Balloon, AttackVariant::VirtioMem]
+        );
         let err = parse(&["campaign", "--scenarios", "tiny@warp"]).unwrap_err();
         assert!(err.contains("unknown attack variant"), "got: {err}");
         let err = parse(&["campaign", "--scenarios", "mars@all"]).unwrap_err();
@@ -1328,9 +1050,112 @@ mod tests {
     }
 
     #[test]
+    fn mutated_args_never_panic() {
+        use hh_sim::check;
+        // Real command lines; each case drops, repeats or byte-mutates a
+        // few of their tokens.
+        let lines: [&[&str]; 7] = [
+            &[
+                "campaign",
+                "--scenarios",
+                "tiny@all,micro",
+                "--seeds",
+                "3",
+                "--base-seed",
+                "7",
+                "--attempts",
+                "2",
+                "--bits",
+                "4",
+                "--jobs",
+                "2",
+                "--faults",
+                "0.05",
+                "--fault-seed",
+                "11",
+                "--max-retries",
+                "2",
+                "--backoff",
+                "25",
+                "--json",
+            ],
+            &[
+                "campaign",
+                "--scenarios",
+                "tiny",
+                "--checkpoint",
+                "ck",
+                "--stop-after-cells",
+                "2",
+            ],
+            &[
+                "trace",
+                "--scenario",
+                "tiny",
+                "--seeds",
+                "2",
+                "--quarantine",
+            ],
+            &["client", "submit", "--scenarios", "all", "--priority", "7"],
+            &["client", "status", "--id", "5", "--addr", "127.0.0.1:0"],
+            &["bench-diff", "--baseline", "a", "--current", "b"],
+            &["steer", "--blocks", "12", "--spray-gib", "3", "--seed", "9"],
+        ];
+        assert!(lines.iter().all(|words| parse(words).is_ok()));
+        const ALPHABET: &[u8] = b"-,@0123456789e.allmicrotinys1xen";
+        let mut valid_grids = 0;
+        check::cases(0xa7_95, check::DEFAULT_CASES * 4, |rng| {
+            let line = lines[rng.gen_range(0..lines.len())];
+            let mut tokens: Vec<Vec<u8>> = line.iter().map(|w| w.as_bytes().to_vec()).collect();
+            for _ in 0..rng.gen_range(1usize..3) {
+                let at = rng.gen_range(0..tokens.len());
+                match rng.gen_range(0u8..4) {
+                    0 => drop(tokens.remove(at)),
+                    1 => tokens.insert(at, tokens[at].clone()),
+                    _ => check::mutate(rng, &mut tokens[at], ALPHABET),
+                }
+                if tokens.is_empty() {
+                    break;
+                }
+            }
+            let args: Vec<String> = tokens
+                .iter()
+                .map(|token| String::from_utf8_lossy(token).into_owned())
+                .collect();
+            match Options::parse(&args) {
+                Ok(o) => match o.command {
+                    Command::Campaign { spec, .. }
+                    | Command::Trace { spec }
+                    | Command::Client {
+                        action: ClientAction::Submit { spec },
+                        ..
+                    } => {
+                        assert!(spec.validate().is_ok(), "{args:?} parsed to {spec:?}");
+                        valid_grids += 1;
+                    }
+                    _ => {}
+                },
+                Err(msg) => assert!(!msg.is_empty(), "empty error for {args:?}"),
+            }
+        });
+        assert!(valid_grids > 0, "the sweep must reach parsed grids");
+    }
+
+    #[test]
     fn rejects_garbage() {
         assert!(parse(&["campaign", "--scenarios", "tiny,mars"]).is_err());
-        assert!(parse(&["campaign", "--seeds", "0"]).is_err());
+        // Grid commands validate like `POST /jobs` does.
+        for command in [&["campaign"][..], &["trace"], &["client", "submit"]] {
+            for bad in [
+                &["--seeds", "0"][..],
+                &["--attempts", "0"],
+                &["--bits", "0"],
+                &["--scenarios", "tiny,micro", "--seeds", "4194304"],
+            ] {
+                let words: Vec<&str> = command.iter().chain(bad).copied().collect();
+                assert!(parse(&words).is_err(), "{words:?} must be rejected");
+            }
+        }
         assert!(parse(&[]).is_err());
         assert!(parse(&["bogus"]).is_err());
         assert!(parse(&["profile", "--scenario"]).is_err());

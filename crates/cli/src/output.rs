@@ -267,34 +267,6 @@ impl Json for CampaignCellOut {
     }
 }
 
-/// One row of the per-variant comparison a multi-variant campaign grid
-/// emits after its cell records (`--json` NDJSON form). Holds only
-/// quantities both the in-memory and streamed paths can compute, so the
-/// two paths stay byte-identical.
-#[derive(Debug)]
-pub struct VariantSummaryOut {
-    /// Attack-variant label (`virtio-mem`, `balloon`, …).
-    pub variant: String,
-    /// Grid cells that ran this variant.
-    pub cells: u64,
-    /// Cells whose campaign reached a success.
-    pub succeeded: u64,
-    /// Attempts across the variant's cells.
-    pub attempts: u64,
-    /// succeeded / cells.
-    pub success_rate: f64,
-}
-
-impl Json for VariantSummaryOut {
-    fn fields(&self, obj: &mut JsonObject) {
-        obj.string("variant", &self.variant);
-        obj.number("cells", self.cells);
-        obj.number("succeeded", self.succeeded);
-        obj.number("attempts", self.attempts);
-        obj.float("success_rate", self.success_rate);
-    }
-}
-
 /// One attack-variant row of the `scenarios` listing (`--json` NDJSON
 /// form): the `@` suffix every scenario name accepts.
 #[derive(Debug)]

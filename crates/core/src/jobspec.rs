@@ -4,9 +4,10 @@
 //!
 //! The byte-identity contract between the two fronts (a server job's
 //! streamed NDJSON must equal the serial CLI run's `--json` output)
-//! holds **by construction**: both build their [`CampaignGrid`] through
-//! [`JobSpec::grid_for`], so driver parameters, fault plans, retry
-//! policies and seed derivation can never drift apart.
+//! holds **by construction**: the CLI parses its grid flags straight
+//! into a [`JobSpec`], and both fronts build their [`CampaignGrid`]
+//! through [`JobSpec::to_grid`], so driver parameters, fault plans,
+//! retry policies and seed derivation can never drift apart.
 //!
 //! The spec's JSON form ([`job_spec_from_json`], [`job_spec_to_json`])
 //! is what `POST /jobs` accepts, what the CLI client sends and what
@@ -137,25 +138,12 @@ impl JobSpec {
         }
     }
 
-    /// Builds the campaign grid for already-resolved scenarios — the
-    /// one place driver parameters, fault plan and seed grid are
-    /// assembled, shared by [`JobSpec::to_grid`] and the CLI (which
-    /// resolves scenarios during argument parsing).
+    /// Resolves the scenario names and builds the grid — the one place
+    /// driver parameters, fault plan and seed grid are assembled, for
+    /// the CLI, checkpoints and the campaign server alike.
     ///
     /// Tracing is left [`Off`](hh_trace::TraceMode::Off); callers that
     /// trace add `.with_trace(..)` on top.
-    pub fn grid_for(&self, scenarios: Vec<Scenario>) -> CampaignGrid {
-        let params = DriverParams {
-            bits_per_attempt: self.bits,
-            retry: self.retry_policy(),
-            ..DriverParams::paper()
-        };
-        CampaignGrid::new(scenarios, params, self.attempts)
-            .with_faults(self.fault_config())
-            .with_seed_count(self.base_seed, self.seeds)
-    }
-
-    /// Resolves the scenario names and builds the grid.
     ///
     /// # Errors
     ///
@@ -167,7 +155,14 @@ impl JobSpec {
             .iter()
             .map(|name| Scenario::by_name(name))
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(self.grid_for(scenarios))
+        let params = DriverParams {
+            bits_per_attempt: self.bits,
+            retry: self.retry_policy(),
+            ..DriverParams::paper()
+        };
+        Ok(CampaignGrid::new(scenarios, params, self.attempts)
+            .with_faults(self.fault_config())
+            .with_seed_count(self.base_seed, self.seeds))
     }
 }
 

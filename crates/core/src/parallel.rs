@@ -396,6 +396,16 @@ impl CampaignGrid {
         self
     }
 
+    /// Turns on the §6 virtio-mem quarantine countermeasure for every
+    /// scenario in the grid (the CLI's `--quarantine`; job specs cannot
+    /// carry it).
+    pub fn with_quarantine(mut self) -> Self {
+        for scenario in &mut self.scenarios {
+            *scenario = scenario.clone().with_quarantine();
+        }
+        self
+    }
+
     /// Replaces the transient-fault recovery policy used by every cell.
     pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
         self.params.retry = retry;

@@ -28,6 +28,7 @@ use std::fs::File;
 use std::io::{self, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
+use hh_sim::json::quote;
 use hh_trace::{Counter, Stage, TraceSink};
 
 use crate::driver::AttemptOutcome;
@@ -212,6 +213,60 @@ impl CampaignAggregate {
             out.merge(part);
         }
         out
+    }
+
+    /// The per-variant rollup, in [`AttackVariant::ALL`] order;
+    /// variants with no cells are omitted.
+    pub fn variant_rows(&self) -> Vec<VariantRow> {
+        AttackVariant::ALL
+            .iter()
+            .copied()
+            .filter(|v| self.variant_cells[v.index()] > 0)
+            .map(|variant| {
+                let i = variant.index();
+                VariantRow {
+                    variant,
+                    cells: self.variant_cells[i],
+                    succeeded: self.variant_succeeded[i],
+                    attempts: self.variant_attempts[i],
+                }
+            })
+            .collect()
+    }
+}
+
+/// One attack variant's share of a campaign — a row of the per-variant
+/// comparison that `campaign` and `table3` print for grids spanning
+/// several variants.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct VariantRow {
+    /// The attack variant the cells ran.
+    pub variant: AttackVariant,
+    /// Cells (scenario × seed) that ran this variant.
+    pub cells: u64,
+    /// Cells whose campaign reached a success.
+    pub succeeded: u64,
+    /// Attempts across those cells.
+    pub attempts: u64,
+}
+
+impl VariantRow {
+    /// Successful cells over cells run.
+    pub fn success_rate(&self) -> f64 {
+        self.succeeded as f64 / self.cells as f64
+    }
+
+    /// The row's NDJSON record, newline included.
+    pub fn json_line(&self) -> String {
+        format!(
+            "{{\"variant\": {}, \"cells\": {}, \"succeeded\": {}, \"attempts\": {}, \
+             \"success_rate\": {}}}\n",
+            quote(self.variant.label()),
+            self.cells,
+            self.succeeded,
+            self.attempts,
+            self.success_rate(),
+        )
     }
 }
 
@@ -457,6 +512,30 @@ mod tests {
         assert!((3..=127).contains(&p50), "median bucket bound, got {p50}");
         assert!(s.mean() > 0.0);
         assert_eq!(QuantileSketch::default().quantile(0.5), 0);
+    }
+
+    #[test]
+    fn variant_rollup_line_is_pinned() {
+        // `campaign --json` and `table3 --variants --json` both print
+        // these bytes; variants without cells get no row.
+        let mut aggregate = CampaignAggregate::default();
+        let (balloon, xen) = (AttackVariant::Balloon.index(), AttackVariant::Xen.index());
+        aggregate.variant_cells[xen] = 3;
+        aggregate.variant_attempts[xen] = 6;
+        aggregate.variant_cells[balloon] = 4;
+        aggregate.variant_succeeded[balloon] = 1;
+        aggregate.variant_attempts[balloon] = 9;
+        let rows = aggregate.variant_rows();
+        assert_eq!(
+            rows.iter().map(|r| r.variant).collect::<Vec<_>>(),
+            [AttackVariant::Balloon, AttackVariant::Xen]
+        );
+        assert_eq!(
+            rows[0].json_line(),
+            "{\"variant\": \"balloon\", \"cells\": 4, \"succeeded\": 1, \"attempts\": 9, \
+             \"success_rate\": 0.25}\n"
+        );
+        assert_eq!(rows[1].success_rate(), 0.0);
     }
 
     #[test]

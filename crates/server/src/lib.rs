@@ -20,7 +20,7 @@
 //! ## Byte-identity
 //!
 //! A job's streamed NDJSON is byte-identical to the serial CLI run of
-//! the same spec: grids are built through [`JobSpec::grid_for`] (so
+//! the same spec: grids are built through [`JobSpec::to_grid`] (so
 //! parameters cannot drift) and the per-cell line formatter is injected
 //! by the CLI itself — the server never formats cells on its own.
 //!
@@ -53,13 +53,13 @@ pub mod http;
 pub mod journal;
 
 use std::collections::{BinaryHeap, HashMap};
-use std::io::{self, BufReader};
+use std::io::{self, BufRead, BufReader, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use hh_sim::json::quote;
 use hyperhammer::jobspec::job_spec_from_json;
@@ -788,8 +788,13 @@ fn run_job(shared: &Arc<Shared>, job: &Arc<Job>) {
     }
 }
 
-/// How long connection reads wait before re-checking the shutdown flag.
+/// How long an idle connection waits for a request's first byte before
+/// re-checking the shutdown flag.
 const READ_POLL: Duration = Duration::from_millis(200);
+
+/// How long a request may take from its first byte to the end of its
+/// body before the server answers `408` and closes the connection.
+const REQUEST_TIMEOUT: Duration = Duration::from_secs(5);
 
 #[derive(Debug)]
 struct ServerCtx {
@@ -913,30 +918,90 @@ fn accept_loop(listener: &TcpListener, ctx: &Arc<ServerCtx>) {
     }
 }
 
+fn is_timeout(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+    )
+}
+
+/// Reads one started request under a single deadline: before each socket
+/// read the timeout is set to the time the request has left, so
+/// [`REQUEST_TIMEOUT`] bounds the whole request, not each read.
+struct DeadlineReader<'a> {
+    inner: &'a mut BufReader<TcpStream>,
+    deadline: Instant,
+}
+
+impl DeadlineReader<'_> {
+    /// Arms the socket timeout when the next read would reach the socket.
+    fn arm(&self) -> io::Result<()> {
+        if !self.inner.buffer().is_empty() {
+            return Ok(());
+        }
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::ErrorKind::TimedOut.into());
+        }
+        self.inner.get_ref().set_read_timeout(Some(left))
+    }
+}
+
+impl Read for DeadlineReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.arm()?;
+        self.inner.read(buf)
+    }
+}
+
+impl BufRead for DeadlineReader<'_> {
+    fn fill_buf(&mut self) -> io::Result<&[u8]> {
+        self.arm()?;
+        self.inner.fill_buf()
+    }
+
+    fn consume(&mut self, amt: usize) {
+        self.inner.consume(amt);
+    }
+}
+
 fn handle_connection(stream: TcpStream, ctx: &Arc<ServerCtx>) {
-    // Poll-style reads so idle keep-alive connections notice shutdown.
-    let _ = stream.set_read_timeout(Some(READ_POLL));
     let mut writer = match stream.try_clone() {
         Ok(w) => w,
         Err(_) => return,
     };
     let mut reader = BufReader::new(stream);
     loop {
-        let request = match http::read_request(&mut reader) {
-            Ok(request) => request,
-            Err(ParseError::Io(e))
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
+        // Poll-style waits for the next request so idle keep-alive
+        // connections notice shutdown.
+        let _ = reader.get_ref().set_read_timeout(Some(READ_POLL));
+        match reader.fill_buf() {
+            Ok([]) => return,
+            Ok(_) => {}
+            Err(e) if is_timeout(&e) => {
                 if ctx.shutdown.load(Ordering::SeqCst) {
                     return;
                 }
                 continue;
             }
+            Err(_) => return,
+        }
+        // A request has begun: its head and body must all arrive within
+        // the per-request timeout, however they are split across reads.
+        let mut request_reader = DeadlineReader {
+            inner: &mut reader,
+            deadline: Instant::now() + REQUEST_TIMEOUT,
+        };
+        let request = match http::read_request(&mut request_reader) {
+            Ok(request) => request,
             Err(err) => {
-                if let Some(resp) = error_response(&err) {
+                let resp = match &err {
+                    ParseError::Io(e) if is_timeout(e) => {
+                        Some(Response::json(408, "{\"error\": \"request timed out\"}"))
+                    }
+                    _ => error_response(&err),
+                };
+                if let Some(resp) = resp {
                     let _ = resp.write_to(&mut writer, false);
                 }
                 return;
@@ -1470,6 +1535,100 @@ mod tests {
         let expected: String = (0..2).map(|i| serial_line(&spec, i)).collect();
         assert_eq!(String::from_utf8(streamed).unwrap(), expected);
         api.shutdown().unwrap();
+        server.join();
+    }
+
+    /// Sends `head`, waits `pause`, sends `body` on a fresh connection
+    /// and returns everything the server answers before closing (a
+    /// server that never answers fails the read after 10 s).
+    fn raw_exchange(server: &CampaignServer, head: &str, pause: Duration, body: &str) -> String {
+        use std::io::{Read, Write};
+        let mut conn = TcpStream::connect(server.local_addr()).unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        conn.write_all(head.as_bytes()).unwrap();
+        std::thread::sleep(pause);
+        conn.write_all(body.as_bytes()).unwrap();
+        let mut reply = String::new();
+        conn.read_to_string(&mut reply).unwrap();
+        reply
+    }
+
+    #[test]
+    fn slow_body_is_read_not_dropped() {
+        let server = CampaignServer::start("127.0.0.1:0", fmt).unwrap();
+        let spec = tiny_spec();
+        let body = job_spec_to_json(&spec);
+        let head = format!(
+            "POST /jobs HTTP/1.1\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+            body.len()
+        );
+        // The body arrives after more than one idle poll interval.
+        let reply = raw_exchange(&server, &head, READ_POLL + READ_POLL / 2, &body);
+        assert!(reply.starts_with("HTTP/1.1 202 "), "got: {reply}");
+        assert!(reply.ends_with("{\"id\": 0, \"cells\": 2}"), "got: {reply}");
+
+        let api = client::Client::new(&server.local_addr().to_string());
+        let mut streamed = Vec::new();
+        api.stream(0, &mut streamed).unwrap();
+        let expected: String = (0..2).map(|i| serial_line(&spec, i)).collect();
+        assert_eq!(String::from_utf8(streamed).unwrap(), expected);
+        server.shutdown();
+        server.join();
+    }
+
+    #[test]
+    fn stalled_request_gets_408_and_the_connection_closes() {
+        let server = CampaignServer::start("127.0.0.1:0", fmt).unwrap();
+        // Half a request line, then silence past the request timeout.
+        let reply = raw_exchange(
+            &server,
+            "POST /jo",
+            REQUEST_TIMEOUT + Duration::from_millis(300),
+            "",
+        );
+        assert!(
+            reply.starts_with("HTTP/1.1 408 Request Timeout\r\n"),
+            "got: {reply}"
+        );
+        assert!(reply.contains("Connection: close\r\n"), "got: {reply}");
+        server.shutdown();
+        server.join();
+    }
+
+    #[test]
+    fn dribbled_request_gets_408_at_the_request_deadline() {
+        use std::io::Write;
+        let server = CampaignServer::start("127.0.0.1:0", fmt).unwrap();
+        let mut conn = TcpStream::connect(server.local_addr()).unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut dribble = conn.try_clone().unwrap();
+        let started = Instant::now();
+        // One byte a second of a request line: every read arrives well
+        // inside the timeout, the request as a whole does not.
+        let writer = std::thread::spawn(move || {
+            for byte in b"POST /jobs HTTP/1.1\r\n".iter().take(9) {
+                if dribble.write_all(&[*byte]).is_err() {
+                    return;
+                }
+                std::thread::sleep(Duration::from_secs(1));
+            }
+        });
+        let mut reply = String::new();
+        let _ = conn.read_to_string(&mut reply);
+        let elapsed = started.elapsed();
+        let _ = conn.shutdown(std::net::Shutdown::Both);
+        writer.join().unwrap();
+        assert!(
+            reply.starts_with("HTTP/1.1 408 Request Timeout\r\n"),
+            "got after {elapsed:?}: {reply}"
+        );
+        assert!(
+            elapsed < REQUEST_TIMEOUT + Duration::from_secs(2),
+            "408 only after {elapsed:?}"
+        );
+        server.shutdown();
         server.join();
     }
 

@@ -8,10 +8,13 @@
 
 use std::num::NonZeroUsize;
 
+use hh_hv::xen::{steering_experiment, XenDomain};
+use hh_sim::addr::{Gpa, HUGE_PAGE_SIZE, PAGE_SIZE};
 use hh_trace::{Stage, TraceMode};
 use hyperhammer::driver::{AttemptOutcome, DriverParams};
 use hyperhammer::machine::{AttackVariant, Scenario};
 use hyperhammer::parallel::CampaignGrid;
+use hyperhammer::steering::PageSteering;
 use hyperhammer::JobSpec;
 
 fn params() -> DriverParams {
@@ -93,6 +96,97 @@ fn balloon_cells_are_deterministic_and_staged() {
             "balloon steering needs no noise exhaustion (PCP LIFO lands it)"
         );
     }
+}
+
+/// Per-page release (§6): ballooning pages out of THP-backed guest
+/// memory splits the hugepage and frees exactly the ballooned 4 KiB
+/// frames — no 512-page sub-block and its noise — and after noise
+/// exhaustion the EPT spray reuses every one of them.
+#[test]
+fn ballooned_pages_release_single_frames_that_the_spray_reuses() {
+    let scenario = Scenario::small_attack();
+    let mut host = scenario.boot_host();
+    let mut vm = host.create_vm(scenario.vm_config()).expect("vm boots");
+    let steering = PageSteering::new(scenario.steering_params());
+    steering
+        .exhaust_noise(&mut host, &mut vm)
+        .expect("exhaustion runs");
+    host.reset_released_log();
+
+    let base = vm.virtio_mem().region_base();
+    let victims: Vec<Gpa> = (0..8u64)
+        .map(|i| base.add(i * 37 * PAGE_SIZE + 3 * PAGE_SIZE))
+        .collect();
+    let leaves_before = vm.ept_leaf_pages(&host).len();
+    for &victim in &victims {
+        vm.balloon_inflate(&mut host, victim).expect("inflate");
+    }
+    assert!(
+        vm.ept_leaf_pages(&host).len() > leaves_before,
+        "ballooning out of a hugepage splits it into an EPT page"
+    );
+    assert_eq!(vm.balloon().inflated_pages(), victims.len() as u64);
+    assert_eq!(
+        host.released_log().len(),
+        victims.len(),
+        "one released frame per ballooned page"
+    );
+
+    steering
+        .spray_ept(&mut host, &mut vm, 2 << 30)
+        .expect("spray runs");
+    let reuse = PageSteering::reuse_stats(&host, &vm);
+    assert_eq!(reuse.released_pages, victims.len() as u64);
+    assert_eq!(
+        reuse.reused_pages, reuse.released_pages,
+        "every released frame becomes an EPT page"
+    );
+}
+
+/// The §6 Xen comparison: on KVM, EPT pages are unmovable order-0
+/// allocations, so without vIOMMU noise exhaustion the spray never
+/// lands on released sub-blocks; exhaustion makes it land; Xen's
+/// undifferentiated domheap reuses released pages for p2m pages with
+/// no exhaustion step at all, at a higher rate than exhausted KVM.
+#[test]
+fn xen_reuses_released_pages_without_the_exhaustion_kvm_needs() {
+    let scenario = Scenario::small_attack();
+    let kvm_reuse = |exhaust: bool| {
+        let mut host = scenario.boot_host();
+        let mut vm = host.create_vm(scenario.vm_config()).expect("vm boots");
+        let steering = PageSteering::new(scenario.steering_params());
+        if exhaust {
+            steering
+                .exhaust_noise(&mut host, &mut vm)
+                .expect("exhaustion runs");
+        }
+        host.reset_released_log();
+        let base = vm.virtio_mem().region_base();
+        let victims: Vec<Gpa> = (0..6u64)
+            .map(|i| base.add(i * 4 * HUGE_PAGE_SIZE))
+            .collect();
+        steering
+            .release_hugepages(&mut host, &mut vm, &victims)
+            .expect("release runs");
+        steering
+            .spray_ept(&mut host, &mut vm, 1 << 30)
+            .expect("spray runs");
+        PageSteering::reuse_stats(&host, &vm)
+    };
+    let unexhausted = kvm_reuse(false);
+    let exhausted = kvm_reuse(true);
+    assert_eq!(unexhausted.reused_pages, 0, "noise soaks up the spray");
+    assert!(exhausted.reused_pages > 0, "exhaustion lets the spray land");
+
+    let mut host = scenario.boot_host();
+    let mut dom = XenDomain::create(&mut host, 512 << 21).expect("domain boots");
+    let xen = steering_experiment(&mut host, &mut dom, 6, 400).expect("experiment runs");
+    dom.destroy(&mut host);
+    assert_eq!(xen.released, exhausted.released_pages);
+    assert!(
+        xen.reused > exhausted.reused_pages,
+        "Xen without exhaustion beats KVM with it: {xen:?} vs {exhausted:?}"
+    );
 }
 
 /// Xen cells report reuse statistics: every attempt ends `Steered`,
