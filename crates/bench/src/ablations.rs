@@ -58,52 +58,6 @@ fn steer(scenario: &Scenario, exhaust: bool, blocks: u64, spray_bytes: u64) -> R
     PageSteering::reuse_stats(&host, &vm)
 }
 
-/// Ablation 1: PCP disabled.
-pub fn pcp(scenario: &Scenario, blocks: u64, spray_bytes: u64) -> AblationResult {
-    let baseline = steer(scenario, true, blocks, spray_bytes);
-    let mut no_pcp = scenario.clone();
-    // Rebuild the scenario's host config without the cache.
-    let mut cfg = no_pcp.host_config().clone();
-    cfg.pcp = PcpConfig::disabled();
-    no_pcp = no_pcp.with_host_config(cfg);
-    let ablated = steer(&no_pcp, true, blocks, spray_bytes);
-    AblationResult { baseline, ablated }
-}
-
-/// Ablation 2: skip the vIOMMU noise-exhaustion step.
-pub fn noise_exhaustion(scenario: &Scenario, blocks: u64, spray_bytes: u64) -> AblationResult {
-    AblationResult {
-        baseline: steer(scenario, true, blocks, spray_bytes),
-        ablated: steer(scenario, false, blocks, spray_bytes),
-    }
-}
-
-/// Ablation 3: THP off — reported as the count of EPT splits the spray
-/// can trigger (zero without hugepage mappings).
-pub fn thp(scenario: &Scenario, spray_bytes: u64) -> (u64, u64) {
-    let with_thp = {
-        let mut host = scenario.boot_host();
-        let mut vm = host.create_vm(scenario.vm_config()).expect("vm");
-        let steering = PageSteering::new(scenario.steering_params());
-        steering
-            .spray_ept(&mut host, &mut vm, spray_bytes)
-            .expect("spray")
-            .splits
-    };
-    let without_thp = {
-        let mut host = scenario.boot_host();
-        let mut cfg = scenario.vm_config();
-        cfg.thp = false;
-        let mut vm = host.create_vm(cfg).expect("vm");
-        let steering = PageSteering::new(scenario.steering_params());
-        steering
-            .spray_ept(&mut host, &mut vm, spray_bytes)
-            .expect("spray")
-            .splits
-    };
-    (with_thp, without_thp)
-}
-
 /// One independent ablation measurement — each boots its own host, so
 /// the set fans out over campaign-engine workers with identical results
 /// for every worker count.

@@ -1,13 +1,14 @@
-//! The buddy allocator core: split, coalesce, steal.
+//! The buddy allocator core: split, coalesce, steal. All page state
+//! lives in one frame table (see `free_list`), which buddy lookups,
+//! double-free checks and snapshots all read.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use hh_sim::addr::Pfn;
 use hh_trace::Tracer;
 
-use crate::free_list::FreeList;
-use crate::pcp::{PcpCache, PcpConfig};
+use crate::free_list::{FrameTable, FreeList, PageState, NIL};
+use crate::pcp::PcpConfig;
 use crate::report::{OrderCounts, PageTypeInfo};
 use crate::MigrateType;
 
@@ -155,10 +156,25 @@ pub struct AllocStats {
     pub pcp_refills: u64,
 }
 
-/// A plain-data image of a [`BuddyAllocator`]'s state: frames, free
-/// lists, block indices, the allocated map, the PCP cache and lifetime
-/// stats — everything except the tracer handle and jitter source, which
-/// are per-instantiation concerns.
+/// The allocator's page state: the frame table, the buddy lists and PCP
+/// lanes threaded through it, and the lifetime stats — everything but
+/// the tracer handle and the jitter source.
+#[derive(Debug, Clone)]
+struct Zone {
+    /// One record per frame, indexed by PFN: the `struct page` array.
+    frames: FrameTable,
+    /// `free[migratetype][order]`.
+    free: [[FreeList; MAX_ORDER as usize]; 2],
+    /// The per-CPU pageset: one order-0 lane per migratetype.
+    pcp: [FreeList; 2],
+    pcp_config: PcpConfig,
+    stats: AllocStats,
+}
+
+/// A plain-data image of a [`BuddyAllocator`]'s page state: the frame
+/// table, the free lists, the PCP cache and the lifetime stats —
+/// everything except the tracer handle and jitter source, which are
+/// per-instantiation concerns.
 ///
 /// Snapshots exist so campaign grids can pay for boot-time noise once
 /// per scenario and stamp out per-cell allocators with
@@ -168,12 +184,7 @@ pub struct AllocStats {
 /// snapshot can seed allocators on many worker threads.
 #[derive(Debug, Clone)]
 pub struct BuddySnapshot {
-    frames: u64,
-    free: [[FreeList; MAX_ORDER as usize]; 2],
-    free_index: HashMap<u64, (u8, MigrateType)>,
-    allocated: HashMap<u64, (u8, MigrateType)>,
-    pcp: PcpCache,
-    stats: AllocStats,
+    zone: Zone,
 }
 
 /// A single-zone buddy allocator with two migration types and a per-CPU
@@ -182,17 +193,7 @@ pub struct BuddySnapshot {
 /// See the [crate documentation](crate) for the modelled behaviours.
 #[derive(Debug, Clone)]
 pub struct BuddyAllocator {
-    frames: u64,
-    /// `free[migratetype][order]`.
-    free: [[FreeList; MAX_ORDER as usize]; 2],
-    /// Base PFN → (order, migratetype) of every free block, for O(1)
-    /// buddy lookup during coalescing.
-    free_index: HashMap<u64, (u8, MigrateType)>,
-    /// Base PFN → (order, migratetype) of every allocated block, for
-    /// double-free detection and pinned-type accounting.
-    allocated: HashMap<u64, (u8, MigrateType)>,
-    pcp: PcpCache,
-    stats: AllocStats,
+    zone: Zone,
     tracer: Tracer,
     jitter: Option<AllocJitter>,
 }
@@ -213,30 +214,31 @@ impl BuddyAllocator {
     ///
     /// # Panics
     ///
-    /// Panics if `frames` is zero.
+    /// Panics if `frames` is zero or does not fit the table's `u32`
+    /// links.
     pub fn with_pcp(frames: u64, pcp: PcpConfig) -> Self {
         assert!(frames > 0, "empty zone");
+        assert!(
+            frames < u64::from(NIL),
+            "{frames} frames overflow the u32 links"
+        );
         let mut this = Self {
-            frames,
-            free: Default::default(),
-            free_index: HashMap::new(),
-            allocated: HashMap::new(),
-            pcp: PcpCache::new(pcp),
-            stats: AllocStats::default(),
+            zone: Zone {
+                frames: FrameTable::new(frames),
+                free: [[FreeList::EMPTY; MAX_ORDER as usize]; 2],
+                pcp: [FreeList::EMPTY; 2],
+                pcp_config: pcp,
+                stats: AllocStats::default(),
+            },
             tracer: Tracer::off(),
             jitter: None,
         };
         // Seed the free lists with maximal aligned blocks.
         let mut base = 0u64;
         while base < frames {
-            let mut order = MAX_ORDER - 1;
-            loop {
-                let size = 1u64 << order;
-                if base.is_multiple_of(size) && base + size <= frames {
-                    break;
-                }
-                order -= 1;
-            }
+            let fits =
+                |order: &u8| base.is_multiple_of(1 << order) && base + (1 << order) <= frames;
+            let order = (0..MAX_ORDER).rev().find(fits).expect("order 0 fits");
             this.insert_free(base, order, MigrateType::Movable);
             base += 1u64 << order;
         }
@@ -248,12 +250,7 @@ impl BuddyAllocator {
     /// the snapshot.
     pub fn snapshot(&self) -> BuddySnapshot {
         BuddySnapshot {
-            frames: self.frames,
-            free: self.free.clone(),
-            free_index: self.free_index.clone(),
-            allocated: self.allocated.clone(),
-            pcp: self.pcp.clone(),
-            stats: self.stats,
+            zone: self.zone.clone(),
         }
     }
 
@@ -263,21 +260,16 @@ impl BuddyAllocator {
     /// both afterwards if needed.
     pub fn from_snapshot(snap: &BuddySnapshot) -> Self {
         Self {
-            frames: snap.frames,
-            free: snap.free.clone(),
-            free_index: snap.free_index.clone(),
-            allocated: snap.allocated.clone(),
-            pcp: snap.pcp.clone(),
-            stats: snap.stats,
+            zone: snap.zone.clone(),
             tracer: Tracer::off(),
             jitter: None,
         }
     }
 
-    /// Restores the allocator's page state — free lists (including
-    /// their LIFO order), the free/allocated indexes and the per-CPU
-    /// caches — to `snap`, keeping the live instrumentation (stats,
-    /// tracer, jitter) untouched.
+    /// Restores the allocator's page state — the frame table, the free
+    /// lists in their LIFO order and the per-CPU caches — to `snap`,
+    /// keeping the live instrumentation (stats, tracer, jitter)
+    /// untouched.
     ///
     /// This is the abort-rollback primitive: an abandoned attack
     /// attempt frees every page it took, so the *count* comes back on
@@ -292,19 +284,19 @@ impl BuddyAllocator {
     /// If `snap` came from a zone of a different size.
     pub fn restore_free_state(&mut self, snap: &BuddySnapshot) {
         assert_eq!(
-            self.frames, snap.frames,
+            self.zone.frames.len(),
+            snap.zone.frames.len(),
             "free-state snapshot is from a different zone"
         );
-        self.free = snap.free.clone();
-        self.free_index = snap.free_index.clone();
-        self.allocated = snap.allocated.clone();
-        self.pcp = snap.pcp.clone();
+        let stats = self.zone.stats;
+        self.zone.clone_from(&snap.zone);
+        self.zone.stats = stats;
     }
 
     /// An order-sensitive digest of the free state: every free list's
     /// PFN sequence (per migratetype and order) and every per-CPU cache
-    /// list, folded in iteration order. Two allocators with the same
-    /// free pages in a different LIFO order digest differently — the
+    /// list, folded head to tail. Two allocators with the same free
+    /// pages in a different LIFO order digest differently — the
     /// property [`restore_free_state`](Self::restore_free_state) exists
     /// to protect.
     pub fn free_state_digest(&self) -> u64 {
@@ -315,19 +307,16 @@ impl BuddyAllocator {
             h ^= word;
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         };
-        for (mt, per_order) in self.free.iter().enumerate() {
+        let z = &self.zone;
+        for (mt, per_order) in z.free.iter().enumerate() {
             for (order, list) in per_order.iter().enumerate() {
                 fold(0x1000_0000 | (mt as u64) << 8 | order as u64);
-                for pfn in list.iter() {
-                    fold(pfn);
-                }
+                list.iter(&z.frames).for_each(&mut fold);
             }
         }
-        for mt in MigrateType::ALL {
-            fold(0x2000_0000 | mt.index() as u64);
-            for pfn in self.pcp.lane_iter(mt) {
-                fold(pfn);
-            }
+        for (mt, lane) in z.pcp.iter().enumerate() {
+            fold(0x2000_0000 | mt as u64);
+            lane.iter(&z.frames).for_each(&mut fold);
         }
         h
     }
@@ -350,22 +339,20 @@ impl BuddyAllocator {
 
     /// Total frames managed.
     pub fn total_frames(&self) -> u64 {
-        self.frames
+        self.zone.frames.len()
     }
 
     /// Lifetime counters.
     pub fn stats(&self) -> AllocStats {
-        self.stats
+        self.zone.stats
     }
 
     /// Total free pages, including pages parked in the PCP cache.
     pub fn free_pages(&self) -> u64 {
-        let buddy: u64 = self
-            .free_index
-            .iter()
-            .map(|(_, &(order, _))| 1u64 << order)
-            .sum();
-        buddy + self.pcp.total_pages()
+        let info = self.pagetypeinfo();
+        info.unmovable.total_pages()
+            + info.movable.total_pages()
+            + info.pcp_pages.iter().sum::<u64>()
     }
 
     /// Allocates a block of `2^order` contiguous, aligned frames of the
@@ -384,10 +371,7 @@ impl BuddyAllocator {
             return Err(AllocError::OrderTooLarge { order });
         }
         let base = self.rmqueue(order, mt)?;
-        self.allocated.insert(base, (order, mt));
-        self.stats.allocs += 1;
-        self.tracer.buddy_alloc(order);
-        Ok(Pfn::new(base))
+        Ok(self.hand_out(base, order, mt))
     }
 
     /// Allocates one order-0 page through the PCP cache, the path kernel
@@ -404,36 +388,20 @@ impl BuddyAllocator {
                 return Err(AllocError::Transient);
             }
         }
-        if let Some(base) = self.pcp.pop(mt) {
-            self.stats.pcp_hits += 1;
-            self.allocated.insert(base, (0, mt));
-            self.stats.allocs += 1;
-            self.tracer.buddy_alloc(0);
-            return Ok(Pfn::new(base));
+        let lane = mt.index();
+        // An empty lane refills a batch from the buddy lists first.
+        if self.zone.pcp[lane].len() == 0 {
+            for _ in 0..self.zone.pcp_config.batch {
+                let Ok(base) = self.rmqueue(0, mt) else { break };
+                let z = &mut self.zone;
+                z.pcp[lane].push(&mut z.frames, base, PageState::Pcp(mt));
+            }
+            self.zone.stats.pcp_refills += u64::from(self.zone.pcp[lane].len() > 0);
         }
-        // Refill a batch, then retry once.
-        let batch = self.pcp.batch();
-        if batch > 0 {
-            let mut refilled = 0;
-            for _ in 0..batch {
-                match self.rmqueue(0, mt) {
-                    Ok(base) => {
-                        self.pcp.push_free(mt, base);
-                        refilled += 1;
-                    }
-                    Err(_) => break,
-                }
-            }
-            if refilled > 0 {
-                self.stats.pcp_refills += 1;
-            }
-            if let Some(base) = self.pcp.pop(mt) {
-                self.stats.pcp_hits += 1;
-                self.allocated.insert(base, (0, mt));
-                self.stats.allocs += 1;
-                self.tracer.buddy_alloc(0);
-                return Ok(Pfn::new(base));
-            }
+        let z = &mut self.zone;
+        if let Some(base) = z.pcp[lane].pop(&mut z.frames) {
+            z.stats.pcp_hits += 1;
+            return Ok(self.hand_out(base, 0, mt));
         }
         // PCP disabled or empty zone: direct path.
         self.alloc(0, mt)
@@ -460,18 +428,8 @@ impl BuddyAllocator {
     /// [`FreeError::NotAllocated`] or [`FreeError::WrongOrder`] on
     /// contract violations.
     pub fn try_free(&mut self, base: Pfn, order: u8) -> Result<(), FreeError> {
-        let Some(&(allocated_order, mt)) = self.allocated.get(&base.index()) else {
-            return Err(FreeError::NotAllocated { base });
-        };
-        if allocated_order != order {
-            return Err(FreeError::WrongOrder {
-                base,
-                allocated_order,
-            });
-        }
-        self.allocated.remove(&base.index());
-        self.stats.frees += 1;
-        self.tracer.buddy_free(order);
+        let mt = self.allocated_at(base, order)?;
+        self.take_back(base, order);
         self.coalesce_and_insert(base.index(), order, mt);
         Ok(())
     }
@@ -482,25 +440,24 @@ impl BuddyAllocator {
     ///
     /// Panics on double free or if the page was not allocated at order 0.
     pub fn free_page(&mut self, base: Pfn) {
-        let Some(&(allocated_order, mt)) = self.allocated.get(&base.index()) else {
-            panic!("freeing unallocated page at frame {base}");
-        };
-        assert_eq!(
-            allocated_order, 0,
-            "free_page on an order-{allocated_order} block"
-        );
-        self.allocated.remove(&base.index());
-        self.stats.frees += 1;
-        self.tracer.buddy_free(0);
-        if self.pcp.enabled() {
-            self.pcp.push_free(mt, base.index());
-            // Drain overflow back into the buddy lists.
-            let overflow = self.pcp.drain_overflow(mt);
-            for page in overflow {
+        let mt = self
+            .allocated_at(base, 0)
+            .expect("free_page: no order-0 page");
+        self.take_back(base, 0);
+        let z = &mut self.zone;
+        let PcpConfig { high, batch } = z.pcp_config;
+        if batch == 0 {
+            return self.coalesce_and_insert(base.index(), 0, mt);
+        }
+        let lane = &mut z.pcp[mt.index()];
+        lane.push(&mut z.frames, base.index(), PageState::Pcp(mt));
+        // Past the high watermark, drain a batch back into the buddy
+        // lists, newest first.
+        if lane.len() > high as u64 {
+            let drained: Vec<u64> = (0..batch).map_while(|_| lane.pop(&mut z.frames)).collect();
+            for page in drained {
                 self.coalesce_and_insert(page, 0, mt);
             }
-        } else {
-            self.coalesce_and_insert(base.index(), 0, mt);
         }
     }
 
@@ -512,12 +469,9 @@ impl BuddyAllocator {
     ///
     /// Panics if the block is not allocated at `order`.
     pub fn set_migrate_type(&mut self, base: Pfn, order: u8, mt: MigrateType) {
-        let entry = self
-            .allocated
-            .get_mut(&base.index())
-            .unwrap_or_else(|| panic!("set_migrate_type on unallocated frame {base}"));
-        assert_eq!(entry.0, order, "order mismatch in set_migrate_type");
-        entry.1 = mt;
+        self.allocated_at(base, order)
+            .expect("set_migrate_type: no such block");
+        self.zone.frames.get_mut(base.index()).state = PageState::Allocated { order, mt };
     }
 
     /// Splits an *allocated* block into `2^order` individually allocated
@@ -529,13 +483,11 @@ impl BuddyAllocator {
     ///
     /// Panics if the block is not allocated at `order`.
     pub fn split_allocated(&mut self, base: Pfn, order: u8) {
-        let Some(&(allocated_order, mt)) = self.allocated.get(&base.index()) else {
-            panic!("split_allocated on unallocated frame {base}");
-        };
-        assert_eq!(allocated_order, order, "order mismatch in split_allocated");
-        self.allocated.remove(&base.index());
-        for i in 0..1u64 << order {
-            self.allocated.insert(base.index() + i, (0, mt));
+        let mt = self
+            .allocated_at(base, order)
+            .expect("split_allocated: no such block");
+        for pfn in base.index()..base.index() + (1 << order) {
+            self.zone.frames.get_mut(pfn).state = PageState::Allocated { order: 0, mt };
         }
     }
 
@@ -544,19 +496,17 @@ impl BuddyAllocator {
     /// The PCP cache is reported separately, mirroring how the real file
     /// shows buddy lists only.
     pub fn pagetypeinfo(&self) -> PageTypeInfo {
-        let mut info = PageTypeInfo::default();
-        for mt in MigrateType::ALL {
-            let counts = OrderCounts {
-                counts: std::array::from_fn(|order| self.free[mt.index()][order].len() as u64),
-            };
-            match mt {
-                MigrateType::Unmovable => info.unmovable = counts,
-                MigrateType::Movable => info.movable = counts,
-            }
+        PageTypeInfo {
+            unmovable: self.order_counts(MigrateType::Unmovable),
+            movable: self.order_counts(MigrateType::Movable),
+            pcp_pages: self.zone.pcp.map(|lane| lane.len()),
         }
-        info.pcp_pages[0] = self.pcp.pages(MigrateType::Unmovable);
-        info.pcp_pages[1] = self.pcp.pages(MigrateType::Movable);
-        info
+    }
+
+    fn order_counts(&self, mt: MigrateType) -> OrderCounts {
+        OrderCounts {
+            counts: std::array::from_fn(|order| self.zone.free[mt.index()][order].len()),
+        }
     }
 
     /// The paper's "noise pages" metric: free pages sitting in
@@ -564,24 +514,52 @@ impl BuddyAllocator {
     /// including PCP-cached pages. These are the pages an EPT allocation
     /// would consume *before* touching a released order-9 sub-block.
     pub fn small_order_free_pages(&self, mt: MigrateType) -> u64 {
-        let buddy: u64 = (0..9)
-            .map(|order| (self.free[mt.index()][order].len() as u64) << order)
-            .sum();
-        buddy + self.pcp.pages(mt)
+        self.order_counts(mt).pages_below_order(9) + self.zone.pcp[mt.index()].len()
     }
 
     /// Returns `true` if a free block of exactly (base, order) exists.
     pub fn is_free_block(&self, base: Pfn, order: u8) -> bool {
-        self.free_index
-            .get(&base.index())
-            .is_some_and(|&(o, _)| o == order)
+        matches!(self.state(base.index()), Some(PageState::Free { order: o, .. }) if o == order)
+    }
+
+    /// The state of frame `pfn`, `None` outside the zone.
+    fn state(&self, pfn: u64) -> Option<PageState> {
+        (pfn < self.zone.frames.len()).then(|| self.zone.frames.get(pfn).state)
+    }
+
+    /// The migratetype of the block allocated at exactly (base, order).
+    fn allocated_at(&self, base: Pfn, order: u8) -> Result<MigrateType, FreeError> {
+        match self.state(base.index()) {
+            Some(PageState::Allocated { order: o, mt }) if o == order => Ok(mt),
+            Some(PageState::Allocated { order, .. }) => Err(FreeError::WrongOrder {
+                base,
+                allocated_order: order,
+            }),
+            _ => Err(FreeError::NotAllocated { base }),
+        }
+    }
+
+    /// Marks a block just taken off the lists as allocated and counts it.
+    fn hand_out(&mut self, base: u64, order: u8, mt: MigrateType) -> Pfn {
+        self.zone.frames.get_mut(base).state = PageState::Allocated { order, mt };
+        self.zone.stats.allocs += 1;
+        self.tracer.buddy_alloc(order);
+        Pfn::new(base)
+    }
+
+    /// Clears a freed block's allocated mark and counts the free.
+    fn take_back(&mut self, base: Pfn, order: u8) {
+        self.zone.frames.get_mut(base.index()).state = PageState::Tail;
+        self.zone.stats.frees += 1;
+        self.tracer.buddy_free(order);
     }
 
     /// Internal: smallest-first allocation with fallback stealing.
     fn rmqueue(&mut self, order: u8, mt: MigrateType) -> Result<u64, AllocError> {
         // 1. Own lists, smallest sufficient order first.
         for o in order..MAX_ORDER {
-            if let Some(base) = self.take_from_list(mt, o) {
+            let z = &mut self.zone;
+            if let Some(base) = z.free[mt.index()][o as usize].pop(&mut z.frames) {
                 self.expand(base, o, order, mt);
                 return Ok(base);
             }
@@ -590,8 +568,9 @@ impl BuddyAllocator {
         //    kernel steals big to reduce future fallbacks).
         let fb = mt.fallback();
         for o in (order..MAX_ORDER).rev() {
-            if let Some(base) = self.take_from_list(fb, o) {
-                self.stats.steals += 1;
+            let z = &mut self.zone;
+            if let Some(base) = z.free[fb.index()][o as usize].pop(&mut z.frames) {
+                self.zone.stats.steals += 1;
                 // Stolen remainder joins the requesting type's lists.
                 self.expand(base, o, order, mt);
                 return Ok(base);
@@ -601,21 +580,13 @@ impl BuddyAllocator {
         Err(AllocError::OutOfMemory { order })
     }
 
-    /// Pops a block from a specific (mt, order) list, maintaining the
-    /// index.
-    fn take_from_list(&mut self, mt: MigrateType, order: u8) -> Option<u64> {
-        let base = self.free[mt.index()][order as usize].pop()?;
-        self.free_index.remove(&base);
-        Some(base)
-    }
-
     /// Splits `base` (a block of `from_order`) down to `to_order`,
     /// returning the upper halves to `mt`'s free lists.
     fn expand(&mut self, base: u64, from_order: u8, to_order: u8, mt: MigrateType) {
         let mut order = from_order;
         while order > to_order {
             order -= 1;
-            self.stats.splits += 1;
+            self.zone.stats.splits += 1;
             self.tracer.buddy_split(order + 1);
             let upper = base + (1u64 << order);
             self.insert_free(upper, order, mt);
@@ -626,18 +597,22 @@ impl BuddyAllocator {
     fn coalesce_and_insert(&mut self, mut base: u64, mut order: u8, mt: MigrateType) {
         while order < MAX_ORDER - 1 {
             let buddy = base ^ (1u64 << order);
-            let Some(&(buddy_order, buddy_mt)) = self.free_index.get(&buddy) else {
-                break;
-            };
             // The kernel merges across migration types (the merged block
             // takes the type of the page being freed); requiring equal
             // order is the buddy invariant.
-            if buddy_order != order {
+            let Some(PageState::Free {
+                order: o,
+                mt: buddy_mt,
+            }) = self.state(buddy)
+            else {
+                break;
+            };
+            if o != order {
                 break;
             }
-            self.free_index.remove(&buddy);
-            self.free[buddy_mt.index()][order as usize].remove(buddy);
-            self.stats.merges += 1;
+            let z = &mut self.zone;
+            z.free[buddy_mt.index()][order as usize].unlink(&mut z.frames, buddy);
+            z.stats.merges += 1;
             self.tracer.buddy_merge(order + 1);
             base &= !(1u64 << order);
             order += 1;
@@ -646,8 +621,9 @@ impl BuddyAllocator {
     }
 
     fn insert_free(&mut self, base: u64, order: u8, mt: MigrateType) {
-        self.free[mt.index()][order as usize].push(base);
-        self.free_index.insert(base, (order, mt));
+        let z = &mut self.zone;
+        let state = PageState::Free { order, mt };
+        z.free[mt.index()][order as usize].push(&mut z.frames, base, state);
     }
 }
 
@@ -715,6 +691,31 @@ mod tests {
         // c was freed last → reused first.
         assert_eq!(b.alloc(9, MigrateType::Unmovable).unwrap(), c);
         assert_eq!(b.alloc(9, MigrateType::Unmovable).unwrap(), a);
+    }
+
+    #[test]
+    fn coalesce_unlink_keeps_lifo_order_of_the_rest() {
+        let mut b = BuddyAllocator::new(frames(64));
+        // Three buddy pairs of order-9 blocks (each order-10 split hands
+        // out its lower half, then the upper half).
+        let pairs: Vec<(Pfn, Pfn)> = (0..3)
+            .map(|_| {
+                let lower = b.alloc(9, MigrateType::Movable).unwrap();
+                let upper = b.alloc(9, MigrateType::Movable).unwrap();
+                assert_eq!(lower.index() ^ (1 << 9), upper.index());
+                (lower, upper)
+            })
+            .collect();
+        // Free one block of each pair: none can coalesce yet.
+        for &(lower, _) in &pairs {
+            b.free(lower, 9);
+        }
+        // Freeing the oldest one's buddy coalesces it, unlinking it from
+        // behind the two newer blocks on the order-9 list.
+        b.free(pairs[0].1, 9);
+        // The kernel's list_del leaves the others in LIFO order.
+        assert_eq!(b.alloc(9, MigrateType::Movable).unwrap(), pairs[2].0);
+        assert_eq!(b.alloc(9, MigrateType::Movable).unwrap(), pairs[1].0);
     }
 
     #[test]
@@ -913,8 +914,8 @@ mod tests {
         let digest = b.free_state_digest();
 
         // An alloc/free round trip restores the page *count* but not
-        // the LIFO order (remove() swap-removes; coalescing re-pushes)
-        // — the situation an aborted attempt leaves behind.
+        // the LIFO order (splits and coalesces re-push blocks at list
+        // heads) — the situation an aborted attempt leaves behind.
         let a1 = b.alloc(0, MigrateType::Movable).unwrap();
         let a2 = b.alloc(4, MigrateType::Unmovable).unwrap();
         b.free(a1, 0);

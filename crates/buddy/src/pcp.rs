@@ -5,9 +5,8 @@
 //! PCP as one of the noise sources the EPT-spraying step must drain
 //! before released sub-blocks are reused, so the cache is modelled
 //! explicitly (single CPU — the paper's attack pins one vCPU anyway).
-
-use crate::free_list::FreeList;
-use crate::MigrateType;
+//! Its two lanes, one per migratetype, are free lists in the
+//! allocator's frame table; this module holds their sizing.
 
 /// PCP sizing parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,95 +39,53 @@ impl Default for PcpConfig {
     }
 }
 
-/// The cache itself: one LIFO list per migration type.
-#[derive(Debug, Clone)]
-pub(crate) struct PcpCache {
-    config: PcpConfig,
-    lists: [FreeList; 2],
-}
-
-impl PcpCache {
-    pub fn new(config: PcpConfig) -> Self {
-        Self {
-            config,
-            lists: Default::default(),
-        }
-    }
-
-    pub fn enabled(&self) -> bool {
-        self.config.batch > 0
-    }
-
-    pub fn batch(&self) -> usize {
-        self.config.batch
-    }
-
-    pub fn pop(&mut self, mt: MigrateType) -> Option<u64> {
-        self.lists[mt.index()].pop()
-    }
-
-    pub fn push_free(&mut self, mt: MigrateType, base: u64) {
-        self.lists[mt.index()].push(base);
-    }
-
-    /// Pages to return to the buddy lists once the high watermark is
-    /// crossed.
-    pub fn drain_overflow(&mut self, mt: MigrateType) -> Vec<u64> {
-        let list = &mut self.lists[mt.index()];
-        let mut out = Vec::new();
-        if list.len() > self.config.high {
-            for _ in 0..self.config.batch.min(list.len()) {
-                if let Some(b) = list.pop() {
-                    out.push(b);
-                }
-            }
-        }
-        out
-    }
-
-    /// The cached pages of one migratetype lane, head-to-tail — the
-    /// order [`free_state_digest`](crate::BuddyAllocator::free_state_digest)
-    /// folds them in.
-    pub fn lane_iter(&self, mt: MigrateType) -> impl Iterator<Item = u64> + '_ {
-        self.lists[mt.index()].iter()
-    }
-
-    pub fn pages(&self, mt: MigrateType) -> u64 {
-        self.lists[mt.index()].len() as u64
-    }
-
-    pub fn total_pages(&self) -> u64 {
-        self.lists.iter().map(|l| l.len() as u64).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{BuddyAllocator, MigrateType};
+
+    const FRAMES: u64 = 4096;
 
     #[test]
     fn disabled_config_reports_disabled() {
-        assert!(!PcpCache::new(PcpConfig::disabled()).enabled());
-        assert!(PcpCache::new(PcpConfig::standard()).enabled());
+        let mut b = BuddyAllocator::with_pcp(FRAMES, PcpConfig::disabled());
+        let p = b.alloc_page(MigrateType::Movable).unwrap();
+        b.free_page(p);
+        assert_eq!(b.pagetypeinfo().pcp_pages, [0, 0]);
+        assert_eq!(b.stats().pcp_refills, 0);
+        let mut b = BuddyAllocator::with_pcp(FRAMES, PcpConfig::standard());
+        b.alloc_page(MigrateType::Movable).unwrap();
+        assert_eq!(b.stats().pcp_refills, 1);
     }
 
     #[test]
     fn overflow_drains_in_batches() {
-        let mut pcp = PcpCache::new(PcpConfig { high: 4, batch: 2 });
-        for i in 0..5 {
-            pcp.push_free(MigrateType::Movable, i);
-        }
-        let drained = pcp.drain_overflow(MigrateType::Movable);
-        assert_eq!(drained.len(), 2);
-        assert_eq!(pcp.pages(MigrateType::Movable), 3);
-        assert!(pcp.drain_overflow(MigrateType::Movable).is_empty());
+        let mut b = BuddyAllocator::with_pcp(FRAMES, PcpConfig { high: 4, batch: 2 });
+        let held: Vec<_> = (0..5)
+            .map(|_| b.alloc_page(MigrateType::Movable).unwrap())
+            .collect();
+        // Five pages from three 2-page refills: one is left cached.
+        assert_eq!(b.pagetypeinfo().pcp_pages[1], 1);
+        let cached: Vec<u64> = held
+            .into_iter()
+            .map(|p| {
+                b.free_page(p);
+                b.pagetypeinfo().pcp_pages[1]
+            })
+            .collect();
+        // Crossing the high watermark (4) drains one batch (2).
+        assert_eq!(cached, [2, 3, 4, 3, 4]);
+        assert_eq!(b.free_pages(), FRAMES);
     }
 
     #[test]
     fn types_are_separate() {
-        let mut pcp = PcpCache::new(PcpConfig::standard());
-        pcp.push_free(MigrateType::Unmovable, 1);
-        assert_eq!(pcp.pop(MigrateType::Movable), None);
-        assert_eq!(pcp.pop(MigrateType::Unmovable), Some(1));
+        let mut b = BuddyAllocator::new(FRAMES);
+        let p = b.alloc_page(MigrateType::Unmovable).unwrap();
+        b.free_page(p);
+        let cached = b.pagetypeinfo().pcp_pages[0];
+        assert_ne!(b.alloc_page(MigrateType::Movable).unwrap(), p);
+        assert_eq!(b.pagetypeinfo().pcp_pages[0], cached);
+        assert_eq!(b.alloc_page(MigrateType::Unmovable).unwrap(), p);
     }
 }

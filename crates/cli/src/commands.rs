@@ -459,7 +459,7 @@ fn campaign(
     kept.sort_unstable_by_key(|cell| cell.index);
 
     if run.journal.is_some() {
-        print_checkpointed(opts, grid.len(), resumed_lines, kept, resumed)
+        print_checkpointed(opts, aggregate, grid.len(), resumed_lines, kept, resumed)
     } else if let Some(dir) = &opts.stream_out {
         print_streamed(
             opts,
@@ -734,14 +734,20 @@ fn print_streamed(
 
 /// End of a checkpointed run: the full grid's NDJSON records — resumed
 /// ones from the journal, new ones from this run — or a one-line
-/// completion note.
+/// completion note, then the variant report over both.
 fn print_checkpointed(
     opts: &Options,
+    mut rollup: CampaignAggregate,
     cells: usize,
     mut lines: Vec<Option<String>>,
     kept: Vec<KeptCell>,
     resumed: usize,
 ) -> Result<(), Box<dyn std::error::Error>> {
+    // `rollup` holds this run's cells; the resumed ones count from
+    // their journal records.
+    for line in lines.iter().flatten() {
+        observe_journal_line(&mut rollup, line)?;
+    }
     lines.resize(cells, None);
     for cell in kept {
         lines[cell.index] = Some(cell.line);
@@ -759,7 +765,32 @@ fn print_checkpointed(
             cells - resumed
         );
     }
+    print_variant_report(&rollup.variant_rows(), opts.json);
     report_peak_rss();
+    Ok(())
+}
+
+/// Folds a resumed cell's journal record into the per-variant rollup:
+/// the variant from the scenario's `@` suffix, success from
+/// `first_success`, and `attempts`.
+fn observe_journal_line(rollup: &mut CampaignAggregate, line: &str) -> Result<(), String> {
+    let record = hh_sim::json::parse(line).map_err(|e| format!("journal record: {e}"))?;
+    let field = |key: &str| record.get(key).ok_or(format!("journal record lacks {key}"));
+    let scenario = field("scenario")?
+        .as_str()
+        .ok_or("journal scenario is not a string")?;
+    let variant = match scenario.split_once('@') {
+        Some((_, label)) => AttackVariant::parse(label)?,
+        None => AttackVariant::default(),
+    };
+    let v = variant.index();
+    rollup.variant_cells[v] += 1;
+    if field("first_success")?.as_u64().is_some() {
+        rollup.variant_succeeded[v] += 1;
+    }
+    rollup.variant_attempts[v] += field("attempts")?
+        .as_u64()
+        .ok_or("journal attempts is not a count")?;
     Ok(())
 }
 

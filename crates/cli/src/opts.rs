@@ -311,8 +311,9 @@ impl Options {
         let mut tolerance: f64 = hh_bench::baseline::DEFAULT_TOLERANCE;
 
         while let Some(flag) = it.next() {
+            // A missing value must not swallow the next flag.
             let mut value = |name: &str| -> Result<String, String> {
-                it.next()
+                it.next_if(|v| !v.starts_with("--"))
                     .cloned()
                     .ok_or_else(|| format!("{name} needs a value"))
             };
@@ -1159,6 +1160,22 @@ mod tests {
         assert!(parse(&[]).is_err());
         assert!(parse(&["bogus"]).is_err());
         assert!(parse(&["profile", "--scenario"]).is_err());
+        // A flag's value may not be the next flag.
+        for words in [
+            &[
+                "campaign",
+                "--scenarios",
+                "tiny",
+                "--checkpoint",
+                "--stop-after-cells",
+                "2",
+            ][..],
+            &["campaign", "--scenarios", "tiny", "--trace", "--json"],
+            &["trace", "--scenarios", "tiny", "--seeds", "--json"],
+        ] {
+            let err = parse(words).unwrap_err();
+            assert!(err.ends_with("needs a value"), "{words:?}: {err}");
+        }
         assert!(parse(&["profile", "--scenario", "mars"]).is_err());
         assert!(parse(&["profile", "--wat"]).is_err());
         assert!(parse(&["profile", "--seed", "abc"]).is_err());

@@ -166,6 +166,61 @@ fn variant_campaign_survives_checkpoint_resume() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Runs the built `hyperhammer-sim` binary; returns its stdout.
+fn sim_stdout(words: &[&str]) -> String {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_hyperhammer-sim"))
+        .args(words)
+        .output()
+        .expect("spawn hyperhammer-sim");
+    assert!(
+        out.status.success(),
+        "{words:?} failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout).expect("utf-8 stdout")
+}
+
+/// A resumed multi-variant campaign prints exactly what the
+/// uninterrupted `campaign --json` prints, per-variant rollup records
+/// included — the resumed cells' share of the rollup comes from their
+/// journal records.
+#[test]
+fn resumed_json_carries_the_variant_rollup() {
+    let dir = std::env::temp_dir().join(format!("hh-cli-rollup-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let ckpt = dir.join("split.ckpt");
+    let ckpt = ckpt.to_str().expect("utf-8 temp path");
+    let grid = [
+        "campaign",
+        "--scenarios",
+        "micro@all",
+        "--seeds",
+        "1",
+        "--attempts",
+        "2",
+        "--bits",
+        "2",
+        "--jobs",
+        "1",
+    ];
+    let reference = sim_stdout(&[&grid[..], &["--json"]].concat());
+    assert_eq!(
+        reference.matches("{\"variant\": ").count(),
+        5,
+        "the reference run must end in one rollup record per variant"
+    );
+    sim_stdout(
+        &[
+            &grid[..],
+            &["--checkpoint", ckpt, "--stop-after-cells", "2"],
+        ]
+        .concat(),
+    );
+    let resumed = sim_stdout(&["campaign", "--resume", ckpt, "--json"]);
+    assert_eq!(resumed, reference);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn seed_changes_results_deterministically() {
     // Two runs with the same seed must both succeed (determinism is

@@ -480,26 +480,8 @@ impl AttackDriver {
         catalog: &FlipCatalog,
         max_attempts: usize,
     ) -> Result<CampaignStats, HvError> {
-        self.campaign_with_progress(scenario, host, catalog, max_attempts, |_, _| {})
-    }
-
-    /// [`Self::campaign`] with a per-attempt progress callback
-    /// `(attempt_index_1_based, record)` — long experiment harnesses use
-    /// it to report liveness.
-    ///
-    /// # Errors
-    ///
-    /// Propagates hypervisor errors.
-    pub fn campaign_with_progress(
-        &self,
-        scenario: &Scenario,
-        host: &mut Host,
-        catalog: &FlipCatalog,
-        max_attempts: usize,
-        mut progress: impl FnMut(usize, &AttemptRecord),
-    ) -> Result<CampaignStats, HvError> {
         if self.variant == AttackVariant::Xen {
-            return self.xen_campaign(scenario, host, max_attempts, &mut progress);
+            return self.xen_campaign(scenario, host, max_attempts);
         }
         // The hypervisor page with a magic value (§5.3.2). Allocation
         // jitter from the fault plan can trip this too, so it retries
@@ -515,7 +497,7 @@ impl AttackDriver {
 
         let campaign_start = host.now();
         let mut stats = CampaignStats::default();
-        for i in 0..max_attempts {
+        for _ in 0..max_attempts {
             let respawn_start = host.now();
             let free_before = host.buddy().free_pages();
             // Aborts only happen under an active fault plan, so only
@@ -572,7 +554,6 @@ impl AttackDriver {
                     "escape proof must read the planted witness"
                 );
             }
-            progress(i + 1, &record);
             stats.attempts.push(record);
             if success {
                 break;
@@ -593,7 +574,6 @@ impl AttackDriver {
         scenario: &Scenario,
         host: &mut Host,
         max_attempts: usize,
-        progress: &mut impl FnMut(usize, &AttemptRecord),
     ) -> Result<CampaignStats, HvError> {
         let mem_bytes = scenario.vm_config().total_mem().bytes();
         // Release one superpage block per targeted bit; demote an order
@@ -603,7 +583,7 @@ impl AttackDriver {
         let demotions = blocks * 10;
         let campaign_start = host.now();
         let mut stats = CampaignStats::default();
-        for i in 0..max_attempts {
+        for _ in 0..max_attempts {
             let attempt_start = host.now();
             let attempt = with_retries(&self.params.retry, host, |h| {
                 let mut dom = hh_hv::xen::XenDomain::create(h, mem_bytes)?;
@@ -633,7 +613,6 @@ impl AttackDriver {
                 Err(e) => return Err(e),
             };
             let success = record.outcome.is_success();
-            progress(i + 1, &record);
             stats.attempts.push(record);
             if success {
                 break;

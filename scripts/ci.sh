@@ -338,12 +338,14 @@ stage_checkpoint_resume() {
     build_release
 
     # --- CLI checkpoint/resume byte-identity (faulted grid) ---
-    "$SIM" campaign --scenarios tiny --seeds 3 --attempts 2 --bits 4 \
+    # Two variants, so the resumed output must also carry the
+    # per-variant rollup records the uninterrupted run ends with.
+    "$SIM" campaign --scenarios tiny,micro@xen --seeds 3 --attempts 2 --bits 4 \
         --faults 0.05 --fault-seed 37 --jobs 1 --json \
         >"$tmpdir/ref.ndjson" 2>/dev/null
     for jobs in 1 2 8; do
         echo "==> checkpoint at 2 cells with --jobs $jobs"
-        "$SIM" campaign --scenarios tiny --seeds 3 --attempts 2 --bits 4 \
+        "$SIM" campaign --scenarios tiny,micro@xen --seeds 3 --attempts 2 --bits 4 \
             --faults 0.05 --fault-seed 37 --jobs "$jobs" --json \
             --checkpoint "$tmpdir/ck_${jobs}" --stop-after-cells 2 \
             >/dev/null 2>/dev/null
