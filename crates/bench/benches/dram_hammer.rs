@@ -1,12 +1,12 @@
 //! Micro-benchmarks for the DRAM model: address mapping, hammer-plan
-//! compilation, hammer bursts (cold and cached plans), and timing-probe
-//! measurements.
+//! compilation and plan-cache lookup, hammer bursts (cold and cached
+//! plans), and timing-probe measurements.
 
 use hh_bench::harness::{BatchSize, Criterion};
 use hh_bench::{criterion_group, criterion_main};
 use hh_dram::geometry::{BankFunction, DramGeometry};
 use hh_dram::timing::{AccessTiming, TimingProbe};
-use hh_dram::{DimmProfile, DramDevice, HammerPattern};
+use hh_dram::{DimmProfile, DramDevice, HammerPattern, DEFAULT_PLAN_CACHE_CAPACITY};
 use hh_sim::Hpa;
 use std::hint::black_box;
 
@@ -67,6 +67,36 @@ fn bench_dram(c: &mut Criterion) {
             |(dev, p)| black_box(dev.compile_plan(p)),
             BatchSize::SmallInput,
         )
+    });
+
+    // The profiler's pattern: one double-sided pair per victim row.
+    group.bench_function("plan_compile_double_sided", |b| {
+        b.iter_batched_ref(
+            || {
+                let dev = device();
+                let p = HammerPattern::double_sided_for(dev.geometry(), 3, 80);
+                (dev, p)
+            },
+            |(dev, p)| black_box(dev.compile_plan(p)),
+            BatchSize::SmallInput,
+        )
+    });
+
+    // A hit in a full cache: 128 resident plans, looked up round-robin
+    // so every lookup hits and the cache stays full.
+    group.bench_function("plan_cache_lookup_full", |b| {
+        let mut dev = device();
+        let patterns: Vec<HammerPattern> = (0..DEFAULT_PLAN_CACHE_CAPACITY as u64)
+            .map(|i| HammerPattern::double_sided_for(dev.geometry(), (i % 8) as u32, 2 + i / 8 * 3))
+            .collect();
+        for p in &patterns {
+            dev.warm_plan(p);
+        }
+        let mut i = 0;
+        b.iter(|| {
+            i = (i + 1) % patterns.len();
+            black_box(dev.plan_for(&patterns[i]))
+        })
     });
 
     // The headline burst bench: plan warmed in setup, so the routine

@@ -1,5 +1,6 @@
 //! Subcommand implementations.
 
+use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
@@ -368,9 +369,9 @@ fn campaign(
                 ..cli_spec.clone()
             };
             let journal = Journal::create(Path::new(path), &spec)?;
-            (spec, Some(journal), Vec::new())
+            (spec, Some(journal), BTreeMap::new())
         }
-        JournalMode::Off => (cli_spec.clone(), None, Vec::new()),
+        JournalMode::Off => (cli_spec.clone(), None, BTreeMap::new()),
     };
     // --trace turns on full event recording for every cell; otherwise the
     // campaign runs untraced (the fast path the benchmarks measure).
@@ -381,7 +382,7 @@ fn campaign(
     };
     let grid = campaign_grid(opts, &spec, mode)?;
     let jobs = resolve_jobs(cli_spec.jobs.or(spec.jobs));
-    let resumed = resumed_lines.iter().flatten().count();
+    let resumed = resumed_lines.len();
     if !opts.json {
         match journal_mode {
             JournalMode::Create(path) | JournalMode::Resume(path) => println!(
@@ -419,7 +420,7 @@ fn campaign(
         jobs,
         &refs,
         &run.cancel,
-        &|index| resumed_lines.get(index).is_some_and(Option::is_some),
+        &|index| resumed_lines.contains_key(&index),
         |worker| CampaignSink::new(&run, worker),
     );
     let sinks = match (outcome, journal_mode) {
@@ -739,24 +740,22 @@ fn print_checkpointed(
     opts: &Options,
     mut rollup: CampaignAggregate,
     cells: usize,
-    mut lines: Vec<Option<String>>,
+    mut lines: BTreeMap<usize, String>,
     kept: Vec<KeptCell>,
     resumed: usize,
 ) -> Result<(), Box<dyn std::error::Error>> {
     // `rollup` holds this run's cells; the resumed ones count from
     // their journal records.
-    for line in lines.iter().flatten() {
+    for line in lines.values() {
         observe_journal_line(&mut rollup, line)?;
     }
-    lines.resize(cells, None);
-    for cell in kept {
-        lines[cell.index] = Some(cell.line);
-    }
+    lines.extend(kept.into_iter().map(|cell| (cell.index, cell.line)));
     if opts.json {
+        assert_eq!(lines.len(), cells, "all cells complete");
         let stdout = std::io::stdout();
         let mut out = stdout.lock();
-        for line in &lines {
-            out.write_all(line.as_deref().expect("all cells complete").as_bytes())?;
+        for line in lines.values() {
+            out.write_all(line.as_bytes())?;
         }
         out.flush()?;
     } else {

@@ -9,10 +9,10 @@
 //! disturbance threshold and flips them **in the backing store**, so
 //! corruption propagates to every layer reading that memory.
 
-use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use hh_sim::addr::Hpa;
+use hh_sim::hash::U64Map;
 use hh_sim::rng::SimRng;
 use hh_trace::Tracer;
 
@@ -150,9 +150,11 @@ pub struct DramDevice {
     /// to implement observationally-equivalent fast corruption scans.
     journal: Vec<FlipEvent>,
     /// Cache of sampled row fault profiles.
-    row_cache: HashMap<u64, Vec<VulnerableCell>>,
+    row_cache: U64Map<Vec<VulnerableCell>>,
     /// LRU cache of compiled hammer plans, keyed by aggressor list.
     plan_cache: PlanCache,
+    /// Binds compiled plans to this device's seed and geometry.
+    device_token: u64,
     total_activations: u64,
     tracer: Tracer,
 }
@@ -165,11 +167,12 @@ impl DramDevice {
         let fault_seed = root.next_u64();
         Self {
             store: SparseStore::new(profile.geometry.size_bytes()),
+            device_token: device_token(fault_seed, &profile.geometry),
             profile,
             fault_seed,
             rng: root,
             journal: Vec::new(),
-            row_cache: HashMap::new(),
+            row_cache: U64Map::default(),
             plan_cache: PlanCache::default(),
             total_activations: 0,
             tracer: Tracer::off(),
@@ -220,12 +223,7 @@ impl DramDevice {
 
     /// The vulnerable cells of `row` (sampled lazily, cached).
     pub fn row_cells(&mut self, row: u64) -> &[VulnerableCell] {
-        let seed = self.fault_seed;
-        let params = self.profile.fault.clone();
-        let geometry = self.profile.geometry.clone();
-        self.row_cache
-            .entry(row)
-            .or_insert_with(|| sample_row_cells(seed, row, &params, &geometry))
+        cached_row_cells(&mut self.row_cache, self.fault_seed, &self.profile, row)
     }
 
     /// Executes one hammer burst: every aggressor row is activated
@@ -319,7 +317,13 @@ impl DramDevice {
     ///
     /// Panics if any aggressor address is outside the device.
     pub fn compile_plan(&mut self, pattern: &HammerPattern) -> HammerPlan {
-        let geometry = self.profile.geometry.clone();
+        let Self {
+            profile,
+            row_cache,
+            fault_seed,
+            ..
+        } = self;
+        let geometry = &profile.geometry;
         for &a in pattern.aggressors() {
             assert!(geometry.contains(a), "aggressor {a} outside device");
         }
@@ -327,23 +331,26 @@ impl DramDevice {
         // Group aggressors by (bank, row); multiple addresses in the same
         // row of a bank are one aggressor. Banks in ascending order so
         // execution (and therefore RNG consumption) is deterministic.
-        let mut per_bank_rows: BTreeMap<u32, Vec<u64>> = BTreeMap::new();
-        for &a in pattern.aggressors() {
-            let rows = per_bank_rows.entry(geometry.bank_of(a)).or_default();
-            let row = geometry.row_of(a);
-            if !rows.contains(&row) {
-                rows.push(row);
-            }
-        }
+        let mut aggressor_rows: Vec<(u32, u64)> = pattern
+            .aggressors()
+            .iter()
+            .map(|&a| (geometry.bank_of(a), geometry.row_of(a)))
+            .collect();
+        aggressor_rows.sort_unstable();
+        aggressor_rows.dedup();
 
-        let mut banks = Vec::with_capacity(per_bank_rows.len());
-        for (bank, mut rows) in per_bank_rows {
-            rows.sort_unstable();
+        let mut banks = Vec::new();
+        let mut disturbance: Vec<(u64, u32, f64)> = Vec::new();
+        for bank_rows in aggressor_rows.chunk_by(|a, b| a.0 == b.0) {
+            let bank = bank_rows[0].0;
+            let rows: Vec<u64> = bank_rows.iter().map(|&(_, row)| row).collect();
 
-            // Victim rows within distance 2 of any aggressor, ascending,
-            // each with its (aggressor index, weight) contributions. The
-            // TRR verdict gates contributions at execution time.
-            let mut disturbance: BTreeMap<u64, Vec<(u32, f64)>> = BTreeMap::new();
+            // Victim rows within distance 2 of any aggressor, each with
+            // its (aggressor index, weight) contributions. The stable
+            // sort orders victims ascending and keeps each victim's
+            // contributions in compile order. The TRR verdict gates
+            // contributions at execution time.
+            disturbance.clear();
             for (i, &row) in rows.iter().enumerate() {
                 for (dist, weight) in [(1u64, WEIGHT_DISTANCE_1), (2, WEIGHT_DISTANCE_2)] {
                     for victim in [row.checked_sub(dist), Some(row + dist)]
@@ -353,46 +360,30 @@ impl DramDevice {
                         if victim >= geometry.row_count() || rows.contains(&victim) {
                             continue;
                         }
-                        disturbance
-                            .entry(victim)
-                            .or_default()
-                            .push((i as u32, weight));
+                        disturbance.push((victim, i as u32, weight));
                     }
                 }
             }
+            disturbance.sort_by_key(|&(victim, ..)| victim);
 
             let victims = disturbance
-                .into_iter()
-                .map(|(row, contribs)| {
-                    let cells: Vec<VulnerableCell> = self
-                        .row_cells(row)
-                        .iter()
-                        .copied()
-                        .filter(|c| geometry.bank_of(c.hpa) == bank)
-                        .collect();
+                .chunk_by(|a, b| a.0 == b.0)
+                .map(|contribs| {
+                    let row = contribs[0].0;
+                    let cells: Vec<VulnerableCell> =
+                        cached_row_cells(row_cache, *fault_seed, profile, row)
+                            .iter()
+                            .copied()
+                            .filter(|c| geometry.bank_of(c.hpa) == bank)
+                            .collect();
+                    let contribs = contribs.iter().map(|&(_, i, w)| (i, w)).collect();
                     VictimPlan::new(row, contribs, cells)
                 })
                 .collect();
             banks.push(BankPlan::new(bank, rows, victims));
         }
 
-        HammerPlan::new(pattern.aggressors().to_vec(), self.device_token(), banks)
-    }
-
-    /// Identifies the (seed, geometry) a plan is valid for.
-    fn device_token(&self) -> u64 {
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let g = &self.profile.geometry;
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for word in [
-            self.fault_seed,
-            g.size_bytes(),
-            g.row_count(),
-            u64::from(g.bank_count()),
-        ] {
-            h = (h ^ word).wrapping_mul(PRIME);
-        }
-        h
+        HammerPlan::new(pattern.aggressors().to_vec(), self.device_token, banks)
     }
 
     /// Plan-cache counters (hits, misses, occupancy).
@@ -417,7 +408,7 @@ impl DramDevice {
     fn execute_plan(&mut self, plan: &HammerPlan, rounds: u64) -> HammerResult {
         assert_eq!(
             plan.device_token(),
-            self.device_token(),
+            self.device_token,
             "hammer plan was compiled for a different device"
         );
         let activations = rounds * plan.aggressors().len() as u64;
@@ -429,13 +420,13 @@ impl DramDevice {
         };
 
         for bank_plan in plan.banks() {
-            let suppressed = self.trr_suppressed(bank_plan.rows(), rounds);
-            result.trr_refreshes += suppressed.iter().filter(|&&s| s).count() as u64;
+            let verdict = self.trr_verdict(bank_plan.rows().len(), rounds);
+            result.trr_refreshes += verdict.refreshed(bank_plan.rows().len());
 
             for victim in bank_plan.victims() {
                 let mut effective = 0.0;
                 for &(idx, weight) in victim.contribs() {
-                    if !suppressed[idx as usize] {
+                    if !verdict.suppresses(idx as usize) {
                         effective += rounds as f64 * weight;
                     }
                 }
@@ -451,33 +442,30 @@ impl DramDevice {
         result
     }
 
-    /// Per-aggressor TRR verdicts: `true` means the mitigation caught and
-    /// neutralized that aggressor this window.
-    fn trr_suppressed(&mut self, rows: &[u64], rounds: u64) -> Vec<bool> {
-        match self.profile.trr {
-            None => vec![false; rows.len()],
-            Some(trr) => {
-                if rounds < trr.detection_threshold {
-                    return vec![false; rows.len()];
-                }
-                if rows.len() <= trr.tracker_capacity {
-                    // All aggressors tracked and refreshed away.
-                    vec![true; rows.len()]
-                } else {
-                    // Sampler overflows: a random subset of capacity-many
-                    // rows is tracked; the rest hammer through.
-                    let mut verdicts = vec![false; rows.len()];
-                    let mut remaining = trr.tracker_capacity;
-                    let mut candidates: Vec<usize> = (0..rows.len()).collect();
-                    while remaining > 0 && !candidates.is_empty() {
-                        let pick = self.rng.gen_range(0..candidates.len());
-                        verdicts[candidates.swap_remove(pick)] = true;
-                        remaining -= 1;
-                    }
-                    verdicts
-                }
-            }
+    /// The TRR verdict over one bank's `rows` aggressors this window.
+    /// Only a sampler overflow draws randomness (and allocates).
+    fn trr_verdict(&mut self, rows: usize, rounds: u64) -> TrrVerdict {
+        let Some(trr) = self.profile.trr else {
+            return TrrVerdict::None;
+        };
+        if rounds < trr.detection_threshold {
+            return TrrVerdict::None;
         }
+        if rows <= trr.tracker_capacity {
+            // All aggressors tracked and refreshed away.
+            return TrrVerdict::All;
+        }
+        // Sampler overflows: a random subset of capacity-many rows is
+        // tracked; the rest hammer through.
+        let mut verdicts = vec![false; rows];
+        let mut remaining = trr.tracker_capacity;
+        let mut candidates: Vec<usize> = (0..rows).collect();
+        while remaining > 0 && !candidates.is_empty() {
+            let pick = self.rng.gen_range(0..candidates.len());
+            verdicts[candidates.swap_remove(pick)] = true;
+            remaining -= 1;
+        }
+        TrrVerdict::Sampled(verdicts)
     }
 
     fn disturb_cells(
@@ -511,6 +499,64 @@ impl DramDevice {
             };
             self.journal.push(event);
             result.flips.push(event);
+        }
+    }
+}
+
+/// Identifies the (seed, geometry) a plan is valid for.
+fn device_token(fault_seed: u64, g: &DramGeometry) -> u64 {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for word in [
+        fault_seed,
+        g.size_bytes(),
+        g.row_count(),
+        u64::from(g.bank_count()),
+    ] {
+        h = (h ^ word).wrapping_mul(PRIME);
+    }
+    h
+}
+
+/// The vulnerable cells of `row`, sampled on first use and cached. A
+/// free function over the device's fields, so a caller can keep the
+/// geometry borrowed while it fills the cache.
+fn cached_row_cells<'a>(
+    cache: &'a mut U64Map<Vec<VulnerableCell>>,
+    fault_seed: u64,
+    profile: &DimmProfile,
+    row: u64,
+) -> &'a [VulnerableCell] {
+    cache
+        .entry(row)
+        .or_insert_with(|| sample_row_cells(fault_seed, row, &profile.fault, &profile.geometry))
+}
+
+/// Which aggressors of a bank TRR caught this refresh window.
+enum TrrVerdict {
+    /// No mitigation, or too few activations to trigger it.
+    None,
+    /// Every aggressor tracked and refreshed away.
+    All,
+    /// Sampler overflow: `true` marks a tracked aggressor.
+    Sampled(Vec<bool>),
+}
+
+impl TrrVerdict {
+    fn suppresses(&self, aggressor: usize) -> bool {
+        match self {
+            TrrVerdict::None => false,
+            TrrVerdict::All => true,
+            TrrVerdict::Sampled(verdicts) => verdicts[aggressor],
+        }
+    }
+
+    /// Aggressors suppressed out of `rows`.
+    fn refreshed(&self, rows: usize) -> u64 {
+        match self {
+            TrrVerdict::None => 0,
+            TrrVerdict::All => rows as u64,
+            TrrVerdict::Sampled(verdicts) => verdicts.iter().filter(|&&s| s).count() as u64,
         }
     }
 }

@@ -16,16 +16,18 @@
 //! compiled plan — `tests/plan_props.rs` proves it, trace events
 //! included.
 //!
-//! [`PlanCache`] is a small LRU keyed by an FNV-1a hash of the aggressor
-//! addresses; entries verify the full address list on lookup, so a hash
-//! collision costs a recompile, never a wrong plan. The profiling loop's
-//! characterize/stability re-hammers, the steering stage and the exploit
-//! stage all replay recent patterns, which is exactly the reuse an LRU
-//! captures.
+//! [`PlanCache`] is an exact LRU with O(1) lookup and eviction: an index
+//! keyed by the full aggressor list (so two patterns never share a
+//! plan) over a slab whose entries form an intrusive recency list. The
+//! profiling loop's characterize/stability re-hammers, the steering
+//! stage and the exploit stage all replay recent patterns, which is
+//! exactly the reuse an LRU captures.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use hh_sim::addr::Hpa;
+use hh_sim::hash::BuildU64Hasher;
 
 use crate::fault::VulnerableCell;
 
@@ -150,22 +152,6 @@ impl HammerPlan {
     }
 }
 
-/// FNV-1a over the aggressor address list — the plan-cache key. Stable
-/// across processes (unlike `RandomState`), so cache behaviour is as
-/// deterministic as everything else in the simulator.
-pub fn hash_aggressors(aggressors: &[Hpa]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for a in aggressors {
-        for byte in a.raw().to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(PRIME);
-        }
-    }
-    h
-}
-
 /// Point-in-time counters of a [`PlanCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PlanCacheStats {
@@ -191,23 +177,33 @@ impl PlanCacheStats {
     }
 }
 
+/// Slab index meaning "no entry" in the recency list.
+const NIL: u32 = u32::MAX;
+
+/// One resident plan plus its links in the recency list (`prev` is the
+/// more recently used neighbour).
 struct CacheEntry {
-    hash: u64,
-    last_use: u64,
     plan: Arc<HammerPlan>,
+    prev: u32,
+    next: u32,
 }
 
 /// A least-recently-used cache of compiled plans.
 ///
-/// Capacity is small (default 128) and lookups verify the full aggressor
-/// list, so a linear scan beats a hash map here — no rehashing, no
-/// allocation on hit, deterministic iteration.
+/// `get` and `insert` are O(1): an index keyed by the full aggressor
+/// list finds the entry in a slab, and recency is an intrusive
+/// doubly-linked list over that slab (most recent at the head), the same
+/// idiom as the buddy allocator's frame table. A hit moves its entry to
+/// the head; a miss on a full cache evicts the tail and reuses its slot.
+/// Keying by the whole list means two patterns can never share an entry.
 pub struct PlanCache {
     capacity: usize,
-    tick: u64,
     hits: u64,
     misses: u64,
+    index: HashMap<Box<[Hpa]>, u32, BuildU64Hasher>,
     entries: Vec<CacheEntry>,
+    head: u32,
+    tail: u32,
 }
 
 impl std::fmt::Debug for PlanCache {
@@ -237,32 +233,30 @@ impl PlanCache {
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` is zero.
+    /// Panics if `capacity` is zero or does not fit the slab's `u32`
+    /// links.
     pub fn with_capacity(capacity: usize) -> Self {
         assert!(capacity > 0, "plan cache needs room for at least one plan");
+        assert!(capacity < NIL as usize, "plan cache capacity too large");
         Self {
             capacity,
-            tick: 0,
             hits: 0,
             misses: 0,
+            index: HashMap::default(),
             entries: Vec::new(),
+            head: NIL,
+            tail: NIL,
         }
     }
 
     /// Looks up the plan for `aggressors`, refreshing its LRU position.
     /// Counts a miss when absent.
     pub fn get(&mut self, aggressors: &[Hpa]) -> Option<Arc<HammerPlan>> {
-        let hash = hash_aggressors(aggressors);
-        self.tick += 1;
-        let found = self
-            .entries
-            .iter_mut()
-            .find(|e| e.hash == hash && e.plan.aggressors() == aggressors);
-        match found {
-            Some(entry) => {
-                entry.last_use = self.tick;
+        match self.index.get(aggressors) {
+            Some(&slot) => {
                 self.hits += 1;
-                Some(Arc::clone(&entry.plan))
+                self.touch(slot);
+                Some(Arc::clone(&self.entries[slot as usize].plan))
             }
             None => {
                 self.misses += 1;
@@ -274,37 +268,38 @@ impl PlanCache {
     /// Inserts a plan, evicting the least recently used entry when full.
     /// An existing entry for the same aggressors is replaced in place.
     pub fn insert(&mut self, plan: Arc<HammerPlan>) {
-        let hash = hash_aggressors(plan.aggressors());
-        self.tick += 1;
-        if let Some(entry) = self
-            .entries
-            .iter_mut()
-            .find(|e| e.hash == hash && e.plan.aggressors() == plan.aggressors())
-        {
-            entry.plan = plan;
-            entry.last_use = self.tick;
+        if let Some(&slot) = self.index.get(plan.aggressors()) {
+            self.entries[slot as usize].plan = plan;
+            self.touch(slot);
             return;
         }
-        if self.entries.len() >= self.capacity {
-            let oldest = self
-                .entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.last_use)
-                .map(|(i, _)| i)
-                .expect("capacity > 0 so a full cache has entries");
-            self.entries.swap_remove(oldest);
-        }
-        self.entries.push(CacheEntry {
-            hash,
-            last_use: self.tick,
-            plan,
-        });
+        let key: Box<[Hpa]> = plan.aggressors().into();
+        let slot = if self.entries.len() >= self.capacity {
+            // Evict the tail and reuse its slot for the new plan.
+            let slot = self.tail;
+            self.unlink(slot);
+            let entry = &mut self.entries[slot as usize];
+            self.index.remove(entry.plan.aggressors());
+            entry.plan = plan;
+            slot
+        } else {
+            self.entries.push(CacheEntry {
+                plan,
+                prev: NIL,
+                next: NIL,
+            });
+            (self.entries.len() - 1) as u32
+        };
+        self.index.insert(key, slot);
+        self.push_front(slot);
     }
 
     /// Drops every cached plan (stats are kept).
     pub fn clear(&mut self) {
+        self.index.clear();
         self.entries.clear();
+        self.head = NIL;
+        self.tail = NIL;
     }
 
     /// Current counters.
@@ -316,10 +311,45 @@ impl PlanCache {
             capacity: self.capacity,
         }
     }
+
+    /// Moves a resident entry to the head (most recently used).
+    fn touch(&mut self, slot: u32) {
+        if self.head != slot {
+            self.unlink(slot);
+            self.push_front(slot);
+        }
+    }
+
+    fn unlink(&mut self, slot: u32) {
+        let CacheEntry { prev, next, .. } = self.entries[slot as usize];
+        match prev {
+            NIL => self.head = next,
+            p => self.entries[p as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.entries[n as usize].prev = prev,
+        }
+    }
+
+    fn push_front(&mut self, slot: u32) {
+        let old_head = self.head;
+        let entry = &mut self.entries[slot as usize];
+        entry.prev = NIL;
+        entry.next = old_head;
+        match old_head {
+            NIL => self.tail = slot,
+            h => self.entries[h as usize].prev = slot,
+        }
+        self.head = slot;
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use hh_sim::check;
+    use hh_sim::rng::SimRng;
+
     use super::*;
 
     fn plan_for(addrs: &[u64]) -> Arc<HammerPlan> {
@@ -390,13 +420,114 @@ mod tests {
         assert!(cache.get(&aggs(&[1 << 18])).is_none());
     }
 
+    /// Reference model: a linear-scan LRU in which every entry carries
+    /// its last-use tick, lookups scan, and eviction removes the entry
+    /// with the smallest tick.
+    struct ScanLru {
+        capacity: usize,
+        tick: u64,
+        entries: Vec<(u64, Arc<HammerPlan>)>,
+    }
+
+    impl ScanLru {
+        fn get(&mut self, aggressors: &[Hpa]) -> Option<Arc<HammerPlan>> {
+            self.tick += 1;
+            let entry = self
+                .entries
+                .iter_mut()
+                .find(|(_, p)| p.aggressors() == aggressors)?;
+            entry.0 = self.tick;
+            Some(Arc::clone(&entry.1))
+        }
+
+        fn insert(&mut self, plan: Arc<HammerPlan>) {
+            self.tick += 1;
+            if let Some(entry) = self
+                .entries
+                .iter_mut()
+                .find(|(_, p)| p.aggressors() == plan.aggressors())
+            {
+                *entry = (self.tick, plan);
+                return;
+            }
+            if self.entries.len() >= self.capacity {
+                let oldest = (0..self.entries.len())
+                    .min_by_key(|&i| self.entries[i].0)
+                    .expect("a full cache has entries");
+                self.entries.swap_remove(oldest);
+            }
+            self.entries.push((self.tick, plan));
+        }
+
+        fn resident(&self) -> Vec<Vec<Hpa>> {
+            let mut keys: Vec<Vec<Hpa>> = self
+                .entries
+                .iter()
+                .map(|(_, p)| p.aggressors().to_vec())
+                .collect();
+            keys.sort();
+            keys
+        }
+    }
+
+    fn resident(cache: &PlanCache) -> Vec<Vec<Hpa>> {
+        let mut keys: Vec<Vec<Hpa>> = cache
+            .entries
+            .iter()
+            .map(|e| e.plan.aggressors().to_vec())
+            .collect();
+        keys.sort();
+        keys
+    }
+
     #[test]
-    fn hash_is_stable_and_order_sensitive() {
-        let a = hash_aggressors(&aggs(&[0x40000, 0x80000]));
-        let b = hash_aggressors(&aggs(&[0x40000, 0x80000]));
-        let c = hash_aggressors(&aggs(&[0x80000, 0x40000]));
-        assert_eq!(a, b);
-        assert_ne!(a, c);
+    fn matches_the_linear_scan_lru_model() {
+        for capacity in [1usize, 2, 128] {
+            check::cases(0x91a2 + capacity as u64, 48, |rng| {
+                let mut cache = PlanCache::with_capacity(capacity);
+                let mut model = ScanLru {
+                    capacity,
+                    tick: 0,
+                    entries: Vec::new(),
+                };
+                // A key pool a little larger than the cache, so hits,
+                // misses and evictions all happen; the same rows in a
+                // different order are a different key.
+                let pool = capacity + capacity / 2 + 2;
+                let key = |rng: &mut SimRng| -> Vec<Hpa> {
+                    let k = rng.gen_range(0..pool) as u64;
+                    match k % 3 {
+                        0 => aggs(&[k << 18]),
+                        1 => aggs(&[k << 18, (k + 1) << 18]),
+                        _ => aggs(&[(k - 1) << 18, k << 18]),
+                    }
+                };
+                for step in 0..600 {
+                    match rng.gen_range(0u32..100) {
+                        0 => {
+                            cache.clear();
+                            model.entries.clear();
+                        }
+                        1..=55 => {
+                            let k = key(rng);
+                            let (got, want) = (cache.get(&k), model.get(&k));
+                            match (&got, &want) {
+                                (Some(a), Some(b)) => assert!(Arc::ptr_eq(a, b), "step {step}"),
+                                (None, None) => {}
+                                _ => panic!("step {step}: hit/miss diverged on {k:?}"),
+                            }
+                        }
+                        _ => {
+                            let plan = Arc::new(HammerPlan::new(key(rng), 7, Vec::new()));
+                            cache.insert(Arc::clone(&plan));
+                            model.insert(plan);
+                        }
+                    }
+                    assert_eq!(cache.stats().len, model.entries.len(), "step {step}");
+                    assert_eq!(resident(&cache), model.resident(), "step {step}");
+                }
+            });
+        }
     }
 
     #[test]

@@ -71,6 +71,44 @@ impl Page {
         }
     }
 
+    /// The eight bytes at `offset..offset + 8` (inside the page) as a
+    /// little-endian word, with one match on the representation.
+    fn read_u64(&self, offset: u16) -> u64 {
+        let o = offset as usize;
+        match self {
+            Page::Uniform(fill) => u64::from_le_bytes([*fill; 8]),
+            Page::Patched { fill, diffs } => {
+                let mut bytes = [*fill; 8];
+                for &(d, b) in diffs {
+                    if let Some(slot) = (d as usize).checked_sub(o).and_then(|i| bytes.get_mut(i)) {
+                        *slot = b;
+                    }
+                }
+                u64::from_le_bytes(bytes)
+            }
+            Page::Dense(bytes) => {
+                u64::from_le_bytes(bytes[o..o + 8].try_into().expect("in-page 8-byte window"))
+            }
+        }
+    }
+
+    /// Writes `value` little-endian at `offset..offset + 8` (inside the
+    /// page). A uniform page gets its diff list in one allocation; the
+    /// other forms take the bytes one by one.
+    fn write_u64(&mut self, offset: u16, value: u64) {
+        if let Page::Uniform(fill) = *self {
+            let mut diffs = Vec::new();
+            extend_diffs(&mut diffs, offset, value, fill);
+            if !diffs.is_empty() {
+                *self = Page::Patched { fill, diffs };
+            }
+            return;
+        }
+        for (o, byte) in (offset..).zip(value.to_le_bytes()) {
+            self.write(o, byte);
+        }
+    }
+
     fn densify(&mut self) {
         let mut bytes = Box::new([0u8; PAGE_SIZE as usize]);
         match self {
@@ -115,6 +153,15 @@ impl Page {
             },
         }
     }
+}
+
+/// Appends the bytes of `value` (little-endian, at `offset..offset + 8`)
+/// that differ from `fill` as diffs, in offset order, growing `diffs`
+/// at most once and to exactly the size needed.
+fn extend_diffs(diffs: &mut Vec<(u16, u8)>, offset: u16, value: u64, fill: u8) {
+    let bytes = value.to_le_bytes();
+    diffs.reserve_exact(bytes.iter().filter(|&&b| b != fill).count());
+    diffs.extend((offset..).zip(bytes).filter(|&(_, b)| b != fill));
 }
 
 /// Lazy per-page mismatch scan (the page-local half of [`Mismatches`]).
@@ -312,19 +359,11 @@ impl SparseStore {
     /// Reads a little-endian `u64`. The access may straddle pages.
     pub fn read_u64(&self, hpa: Hpa) -> u64 {
         if hpa.page_offset() <= PAGE_SIZE - 8 {
-            // Fast path: one page lookup, eight in-page reads.
+            // Fast path: one page lookup, one match on its form.
             self.check(hpa, 8);
-            let base = hpa.page_offset() as u16;
-            return match self.pages[hpa.pfn().index() as usize].as_deref() {
-                None => 0,
-                Some(p) => {
-                    let mut bytes = [0u8; 8];
-                    for (i, b) in bytes.iter_mut().enumerate() {
-                        *b = p.read(base + i as u16);
-                    }
-                    u64::from_le_bytes(bytes)
-                }
-            };
+            return self.pages[hpa.pfn().index() as usize]
+                .as_deref()
+                .map_or(0, |p| p.read_u64(hpa.page_offset() as u16));
         }
         let mut bytes = [0u8; 8];
         for (i, b) in bytes.iter_mut().enumerate() {
@@ -336,13 +375,10 @@ impl SparseStore {
     /// Writes a little-endian `u64`. The access may straddle pages.
     pub fn write_u64(&mut self, hpa: Hpa, value: u64) {
         if hpa.page_offset() <= PAGE_SIZE - 8 {
-            // Fast path: one page lookup, eight in-page writes.
+            // Fast path: one page lookup, one in-page write.
             self.check(hpa, 8);
-            let base = hpa.page_offset() as u16;
-            let page = self.slot_mut(hpa.pfn().index());
-            for (i, byte) in value.to_le_bytes().into_iter().enumerate() {
-                page.write(base + i as u16, byte);
-            }
+            self.slot_mut(hpa.pfn().index())
+                .write_u64(hpa.page_offset() as u16, value);
             return;
         }
         for (i, byte) in value.to_le_bytes().into_iter().enumerate() {
@@ -404,19 +440,19 @@ impl SparseStore {
             "stamp needs page alignment"
         );
         self.check(page_base, PAGE_SIZE);
-        let diffs: Vec<(u16, u8)> = magic
-            .to_le_bytes()
-            .into_iter()
-            .enumerate()
-            .filter(|&(_, b)| b != fill)
-            .map(|(i, b)| (i as u16, b))
-            .collect();
-        let page = if diffs.is_empty() {
-            Page::Uniform(fill)
-        } else {
-            Page::Patched { fill, diffs }
+        let page = self.slot_mut(page_base.pfn().index());
+        // Re-stamping a stamped page reuses its diff list.
+        let mut diffs = match std::mem::replace(page, Page::Uniform(fill)) {
+            Page::Patched { mut diffs, .. } => {
+                diffs.clear();
+                diffs
+            }
+            _ => Vec::new(),
         };
-        self.set_slot(page_base.pfn().index(), page);
+        extend_diffs(&mut diffs, 0, magic, fill);
+        if !diffs.is_empty() {
+            *page = Page::Patched { fill, diffs };
+        }
     }
 
     /// Copies `bytes` into memory starting at `hpa`, one slot lookup per
@@ -522,13 +558,16 @@ impl SparseStore {
         slot.get_or_insert_with(|| Box::new(Page::Uniform(0)))
     }
 
-    /// Replaces a slot wholesale.
+    /// Replaces a slot's contents wholesale, reusing its box when the
+    /// page is already resident.
     fn set_slot(&mut self, pfn: u64, page: Page) {
-        let slot = &mut self.pages[pfn as usize];
-        if slot.is_none() {
-            self.resident += 1;
+        match &mut self.pages[pfn as usize] {
+            Some(resident) => **resident = page,
+            slot @ None => {
+                self.resident += 1;
+                *slot = Some(Box::new(page));
+            }
         }
-        *slot = Some(Box::new(page));
     }
 }
 
@@ -569,6 +608,9 @@ impl Iterator for Mismatches<'_> {
 
 #[cfg(test)]
 mod tests {
+    use hh_sim::check;
+    use hh_sim::rng::SimRng;
+
     use super::*;
 
     #[test]
@@ -860,6 +902,127 @@ mod tests {
             let got = mem.find_mismatches(Hpa::new(0), PAGE_SIZE, 0x00);
             assert_eq!(got, naive_mismatches(&mem, Hpa::new(0), PAGE_SIZE, 0x00));
         }
+    }
+
+    /// A byte that is often some page's fill, so writes both create and
+    /// cancel diffs.
+    fn pick_byte(rng: &mut SimRng) -> u8 {
+        const COMMON: [u8; 4] = [0x00, 0x55, 0xaa, 0xff];
+        if rng.gen_bool(0.75) {
+            COMMON[rng.gen_range(0..COMMON.len())]
+        } else {
+            rng.gen_range(0u32..256) as u8
+        }
+    }
+
+    /// A store of `pages` pages in random forms: untouched, uniform,
+    /// patched (a few diffs) or dense.
+    fn mixed_store(rng: &mut SimRng, pages: u64) -> SparseStore {
+        let mut mem = SparseStore::new(pages * PAGE_SIZE);
+        for p in 0..pages {
+            let base = Hpa::new(p * PAGE_SIZE);
+            match rng.gen_range(0u32..4) {
+                0 => {}
+                1 => mem.fill(base, PAGE_SIZE, pick_byte(rng)),
+                2 => {
+                    mem.fill(base, PAGE_SIZE, pick_byte(rng));
+                    for _ in 0..rng.gen_range(1u32..20) {
+                        let at = base.add(rng.gen_range(0..PAGE_SIZE));
+                        mem.write_u8(at, pick_byte(rng));
+                    }
+                }
+                _ => {
+                    let mut bytes = Box::new([0u8; PAGE_SIZE as usize]);
+                    for b in bytes.iter_mut() {
+                        *b = pick_byte(rng);
+                    }
+                    mem.write_page(base, bytes);
+                }
+            }
+        }
+        mem
+    }
+
+    /// The representation invariants every fast path must keep.
+    fn assert_invariants(mem: &SparseStore) {
+        let resident = mem.pages.iter().filter(|p| p.is_some()).count();
+        assert_eq!(mem.resident_pages(), resident);
+        for page in mem.pages.iter().flatten() {
+            if let Page::Patched { fill, diffs } = page.as_ref() {
+                assert!(!diffs.is_empty() && diffs.len() <= DENSE_THRESHOLD);
+                assert!(diffs.iter().all(|&(_, b)| b != *fill), "diff equals fill");
+                let mut offsets: Vec<u16> = diffs.iter().map(|&(o, _)| o).collect();
+                offsets.sort_unstable();
+                offsets.dedup();
+                assert_eq!(offsets.len(), diffs.len(), "duplicate diff offset");
+            }
+        }
+    }
+
+    #[test]
+    fn word_and_page_fast_paths_match_byte_wise_access() {
+        const PAGES: u64 = 4;
+        check::cases(0x5707e, 96, |rng| {
+            let mut fast = mixed_store(rng, PAGES);
+            let mut bytewise = fast.clone();
+            for step in 0..40 {
+                // Offsets near page edges make straddling words common.
+                let page = rng.gen_range(0..PAGES);
+                let offset = if rng.gen_bool(0.5) {
+                    rng.gen_range(0..PAGE_SIZE)
+                } else {
+                    (PAGE_SIZE - 12 + rng.gen_range(0..16)) % PAGE_SIZE
+                };
+                let at = Hpa::new(page * PAGE_SIZE + offset).min(Hpa::new(PAGES * PAGE_SIZE - 8));
+                match rng.gen_range(0u32..4) {
+                    0 => {
+                        let want = u64::from_le_bytes(std::array::from_fn(|i| {
+                            bytewise.read_u8(at.add(i as u64))
+                        }));
+                        assert_eq!(fast.read_u64(at), want, "step {step}: read_u64 at {at}");
+                    }
+                    1 => {
+                        let value = u64::from_le_bytes(std::array::from_fn(|_| pick_byte(rng)));
+                        fast.write_u64(at, value);
+                        for (i, b) in value.to_le_bytes().into_iter().enumerate() {
+                            bytewise.write_u8(at.add(i as u64), b);
+                        }
+                        assert_eq!(fast, bytewise, "step {step}: write_u64 at {at}");
+                    }
+                    2 => {
+                        let len = rng
+                            .gen_range(1..2 * PAGE_SIZE)
+                            .min(PAGES * PAGE_SIZE - at.raw());
+                        let value = pick_byte(rng);
+                        fast.fill(at, len, value);
+                        for i in 0..len {
+                            bytewise.write_u8(at.add(i), value);
+                        }
+                        // A whole-page fill resets the form to uniform,
+                        // so only the bytes must agree; re-sync forms.
+                        assert_eq!(
+                            fast.read_bytes(Hpa::new(0), (PAGES * PAGE_SIZE) as usize),
+                            bytewise.read_bytes(Hpa::new(0), (PAGES * PAGE_SIZE) as usize),
+                            "step {step}: fill {len} at {at}"
+                        );
+                        assert_eq!(fast.resident_pages(), bytewise.resident_pages());
+                        bytewise = fast.clone();
+                    }
+                    _ => {
+                        let base = Hpa::new(page * PAGE_SIZE);
+                        let (fill, magic) =
+                            (pick_byte(rng), rng.next_u64() & 0xffff_00ff_ff00_ffff);
+                        fast.reset_page_with_magic(base, fill, magic);
+                        bytewise.fill(base, PAGE_SIZE, fill);
+                        for (i, b) in magic.to_le_bytes().into_iter().enumerate() {
+                            bytewise.write_u8(base.add(i as u64), b);
+                        }
+                        assert_eq!(fast, bytewise, "step {step}: stamp at {base}");
+                    }
+                }
+                assert_invariants(&fast);
+            }
+        });
     }
 
     #[test]

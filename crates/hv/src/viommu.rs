@@ -10,9 +10,8 @@
 //! 60 000 IOVAs spaced 2 MiB apart therefore drains ~60 000 small-order
 //! unmovable pages from the host's free lists.
 
-use std::collections::HashMap;
-
 use hh_sim::addr::{Gpa, Hpa, Iova, Pfn, HUGE_PAGE_SIZE, PAGE_SIZE};
+use hh_sim::hash::U64Map;
 
 use crate::error::FaultStage;
 use crate::host::Host;
@@ -26,9 +25,37 @@ pub const MAX_MAPPINGS_PER_GROUP: usize = 65_535;
 #[derive(Debug, Clone, Default)]
 pub struct IommuGroup {
     /// IOVA page index → target HPA (resolved at map time, as VFIO pins).
-    mappings: HashMap<u64, Hpa>,
-    /// 2 MiB IOVA window index → leaf IOPT page backing it.
-    iopt_pages: HashMap<u64, Pfn>,
+    mappings: U64Map<Hpa>,
+    /// The leaf IOPT pages, sorted by 2 MiB IOVA window. Guests map at
+    /// ascending IOVAs (the noise exhaustion does), so a new window is
+    /// usually an append, and teardown walks the windows in order with
+    /// no sort; a window opened below the last one costs a shift.
+    iopt_pages: Vec<IoptPage>,
+}
+
+/// The leaf IOPT page of one 2 MiB IOVA window and the number of live
+/// mappings in it. The frame number fits `u32` because the buddy
+/// allocator's zone does, which keeps a group's ~65k windows at 16
+/// bytes each.
+#[derive(Debug, Clone, Copy)]
+struct IoptPage {
+    window: u64,
+    frame: u32,
+    live: u32,
+}
+
+impl IoptPage {
+    fn new(window: u64, pfn: Pfn) -> Self {
+        Self {
+            window,
+            frame: u32::try_from(pfn.index()).expect("buddy frames fit u32"),
+            live: 0,
+        }
+    }
+
+    fn pfn(self) -> Pfn {
+        Pfn::new(u64::from(self.frame))
+    }
 }
 
 impl IommuGroup {
@@ -45,6 +72,19 @@ impl IommuGroup {
     /// Number of leaf IOPT pages currently allocated.
     pub fn iopt_page_count(&self) -> usize {
         self.iopt_pages.len()
+    }
+
+    /// Where `window`'s page is (`Ok`) or would be inserted (`Err`) in
+    /// the sorted page list; O(1) for the last window or a new one
+    /// above it.
+    fn window_slot(&self, window: u64) -> Result<usize, usize> {
+        match self.iopt_pages.last() {
+            Some(last) if last.window == window => Ok(self.iopt_pages.len() - 1),
+            Some(last) if last.window > window => self
+                .iopt_pages
+                .binary_search_by_key(&window, |pt| pt.window),
+            _ => Err(self.iopt_pages.len()),
+        }
     }
 
     /// Maps `iova → hpa` (the caller resolves GPA→HPA first), allocating
@@ -72,16 +112,21 @@ impl IommuGroup {
         // an injected transient leaves the group untouched.
         host.fault_check(FaultStage::ViommuMap)?;
         let window = iova.raw() / HUGE_PAGE_SIZE;
-        if let std::collections::hash_map::Entry::Vacant(e) = self.iopt_pages.entry(window) {
-            let pt = host.alloc_iopt_page()?;
-            e.insert(pt);
-        }
+        let at = match self.window_slot(window) {
+            Ok(at) => at,
+            Err(at) => {
+                let page = IoptPage::new(window, host.alloc_iopt_page()?);
+                self.iopt_pages.insert(at, page);
+                at
+            }
+        };
+        let pt = &mut self.iopt_pages[at];
+        pt.live += 1;
         // Write the entry into the IOPT page in DRAM for fidelity.
-        let pt = self.iopt_pages[&window];
-        let slot = (iova.raw() / PAGE_SIZE) % 512;
+        let slot = page_index % 512;
         host.dram_mut()
             .store_mut()
-            .write_u64(pt.base_hpa().add(slot * 8), hpa.raw() | 0b11);
+            .write_u64(pt.pfn().base_hpa().add(slot * 8), hpa.raw() | 0b11);
         self.mappings.insert(page_index, hpa);
         host.charge_viommu_map();
         host.tracer().viommu_map(iova.raw());
@@ -102,19 +147,18 @@ impl IommuGroup {
         // Fault choke point: checked before the mapping is removed.
         host.fault_check(FaultStage::ViommuUnmap)?;
         self.mappings.remove(&page_index);
-        let window = iova.raw() / HUGE_PAGE_SIZE;
-        let pt = self.iopt_pages[&window];
+        let at = self
+            .window_slot(iova.raw() / HUGE_PAGE_SIZE)
+            .expect("a mapped window has a page");
+        let pt = &mut self.iopt_pages[at];
         let slot = page_index % 512;
         host.dram_mut()
             .store_mut()
-            .write_u64(pt.base_hpa().add(slot * 8), 0);
-        let window_now_empty = !self
-            .mappings
-            .keys()
-            .any(|&p| p * PAGE_SIZE / HUGE_PAGE_SIZE == window);
-        if window_now_empty {
-            let pt = self.iopt_pages.remove(&window).expect("window had a page");
-            host.free_iopt_page(pt);
+            .write_u64(pt.pfn().base_hpa().add(slot * 8), 0);
+        pt.live -= 1;
+        if pt.live == 0 {
+            let pt = self.iopt_pages.remove(at);
+            host.free_iopt_page(pt.pfn());
         }
         Ok(())
     }
@@ -137,14 +181,10 @@ impl IommuGroup {
     /// teardown).
     pub fn destroy(&mut self, host: &mut Host) {
         self.mappings.clear();
-        // Free in IOVA-window order: HashMap drain order varies run to
-        // run, the buddy free lists are LIFO, and campaign determinism
-        // requires teardown to leave the allocator in a reproducible
-        // state.
-        let mut pages: Vec<(u64, Pfn)> = self.iopt_pages.drain().collect();
-        pages.sort_unstable_by_key(|&(window, _)| window);
-        for (_, pt) in pages {
-            host.free_iopt_page(pt);
+        // Free in IOVA-window order: the buddy free lists are LIFO, so
+        // the order decides which page is reused next.
+        for pt in self.iopt_pages.drain(..) {
+            host.free_iopt_page(pt.pfn());
         }
     }
 }
@@ -248,6 +288,34 @@ mod tests {
     }
 
     #[test]
+    fn windows_opened_out_of_order_free_in_window_order() {
+        let mut h = host();
+        let mut g = IommuGroup::new();
+        let window = |w: u64| Iova::new(w * HUGE_PAGE_SIZE);
+        for w in [3u64, 1, 2, 5] {
+            g.map(&mut h, window(w), Hpa::new(0x3000)).unwrap();
+        }
+        // A second mapping in a lower window shares its page.
+        g.map(&mut h, window(1).add(PAGE_SIZE), Hpa::new(0x4000))
+            .unwrap();
+        let windows: Vec<u64> = g.iopt_pages.iter().map(|pt| pt.window).collect();
+        assert_eq!(windows, [1, 2, 3, 5]);
+        g.unmap(&mut h, window(5)).unwrap();
+        g.unmap(&mut h, window(1)).unwrap();
+        assert_eq!(g.iopt_page_count(), 3, "window 1 still has a mapping");
+        assert_eq!(
+            g.translate(window(1).add(PAGE_SIZE + 8)).unwrap(),
+            Hpa::new(0x4008)
+        );
+        let pages: Vec<Pfn> = g.iopt_pages.iter().map(|pt| pt.pfn()).collect();
+        g.destroy(&mut h);
+        // The free lists are LIFO: pages come back in reverse free order,
+        // so window order means the highest window's page is reused first.
+        let reused: Vec<Pfn> = (0..3).map(|_| h.alloc_iopt_page().unwrap()).collect();
+        assert_eq!(reused, pages.into_iter().rev().collect::<Vec<_>>());
+    }
+
+    #[test]
     fn destroy_returns_all_pages() {
         let mut h = host();
         let free_before = h.buddy().free_pages();
@@ -267,7 +335,8 @@ mod tests {
         let mut g = IommuGroup::new();
         g.map(&mut h, Iova::new(0x40_1000), Hpa::new(0xabc000))
             .unwrap();
-        let pt = g.iopt_pages[&(0x40_1000u64 / HUGE_PAGE_SIZE)];
+        let at = g.window_slot(0x40_1000u64 / HUGE_PAGE_SIZE).unwrap();
+        let pt = g.iopt_pages[at].pfn();
         let slot = (0x40_1000u64 / PAGE_SIZE) % 512;
         let raw = h.dram().store().read_u64(pt.base_hpa().add(slot * 8));
         assert_eq!(raw, 0xabc000 | 0b11);

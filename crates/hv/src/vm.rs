@@ -16,11 +16,12 @@
 //! would find the same set of changed pages, five orders of magnitude
 //! more slowly.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use hh_buddy::MigrateType;
 use hh_dram::FlipDirection;
 use hh_sim::addr::{Gpa, Hpa, Pfn, HUGE_PAGE_SIZE, PAGE_SIZE};
+use hh_sim::hash::U64Map;
 use hh_sim::ByteSize;
 
 use crate::balloon::VirtioBalloon;
@@ -124,12 +125,12 @@ pub struct Vm {
     backing: BTreeMap<u64, Backing>,
     /// Reverse map: HPA 2 MiB chunk index → GPA chunk index, for
     /// huge-backed chunks (flip attribution).
-    rev_huge: HashMap<u64, u64>,
+    rev_huge: U64Map<u64>,
     /// Reverse map for individually backed pages: HPA frame → GPA frame.
-    rev_pages: HashMap<u64, u64>,
+    rev_pages: U64Map<u64>,
     /// Leaf PT pages created for this VM → base GPA of the 2 MiB window
     /// they map.
-    pt_windows: HashMap<u64, Gpa>,
+    pt_windows: U64Map<Gpa>,
     /// PT pages whose contents the *guest* may have modified through a
     /// corrupted mapping (candidates for mapping-change scans).
     dirty_pt_pages: Vec<u64>,
@@ -158,9 +159,9 @@ impl Host {
             id: self.next_vm_id(),
             ept,
             backing: BTreeMap::new(),
-            rev_huge: HashMap::new(),
-            rev_pages: HashMap::new(),
-            pt_windows: HashMap::new(),
+            rev_huge: U64Map::default(),
+            rev_pages: U64Map::default(),
+            pt_windows: U64Map::default(),
             dirty_pt_pages: Vec::new(),
             virtio_mem: VirtioMemDevice::new(
                 Gpa::new(config.boot_mem.bytes()),
@@ -407,6 +408,8 @@ impl Vm {
     }
 
     /// Fills `[gpa, gpa+len)` with `value`, charging bulk write cost.
+    /// Like [`Self::stamp_region`], one EPT walk covers the rest of a
+    /// 2 MiB leaf; split chunks take one walk per page.
     ///
     /// # Errors
     ///
@@ -423,9 +426,16 @@ impl Vm {
         value: u8,
     ) -> Result<(), HvError> {
         assert!(gpa.is_aligned(PAGE_SIZE) && len.is_multiple_of(PAGE_SIZE));
-        for off in (0..len).step_by(PAGE_SIZE as usize) {
-            let t = self.ept.translate(host, gpa.add(off))?;
-            host.dram_mut().store_mut().fill(t.hpa, PAGE_SIZE, value);
+        let mut off = 0u64;
+        while off < len {
+            let at = gpa.add(off);
+            let t = self.ept.translate(host, at)?;
+            let span = match t.level {
+                MappingLevel::Huge2M => (HUGE_PAGE_SIZE - at.huge_page_offset()).min(len - off),
+                MappingLevel::Page4K => PAGE_SIZE,
+            };
+            host.dram_mut().store_mut().fill(t.hpa, span, value);
+            off += span;
         }
         host.charge_write(len);
         Ok(())
@@ -1024,6 +1034,66 @@ mod tests {
         vm.write_u64_gpa(&mut host, Gpa::new(0x2000), 0xfeed)
             .unwrap();
         assert_eq!(vm.read_u64_gpa(&host, Gpa::new(0x2000)).unwrap(), 0xfeed);
+    }
+
+    /// Reference fill: one EPT walk per 4 KiB page.
+    fn fill_per_page(
+        vm: &Vm,
+        host: &mut Host,
+        gpa: Gpa,
+        len: u64,
+        value: u8,
+    ) -> Result<(), HvError> {
+        for off in (0..len).step_by(PAGE_SIZE as usize) {
+            let t = vm.translate_gpa(host, gpa.add(off))?;
+            host.dram_mut().store_mut().fill(t.hpa, PAGE_SIZE, value);
+        }
+        host.charge_write(len);
+        Ok(())
+    }
+
+    #[test]
+    fn fill_gpa_matches_the_per_page_walk() {
+        // Chunk 0 stays a 2 MiB leaf, chunk 1 is split by execution,
+        // chunk 2 is split with one page ballooned out (unmapped).
+        let hole = Gpa::new(2 * HUGE_PAGE_SIZE + 0x5000);
+        let prepare = || {
+            let (mut host, mut vm) = setup();
+            vm.exec_gpa(&mut host, Gpa::new(HUGE_PAGE_SIZE)).unwrap();
+            vm.balloon_inflate(&mut host, hole).unwrap();
+            // Mixed page forms under the fill: a patched page and a
+            // dense one in the huge chunk.
+            vm.write_gpa(&mut host, Gpa::new(0x2010), &[7; 9]).unwrap();
+            vm.write_gpa(&mut host, Gpa::new(0x4000), &[9; 4096])
+                .unwrap();
+            (host, vm)
+        };
+        let cases = [
+            (Gpa::new(0x1000), 2 * HUGE_PAGE_SIZE - 0x1000, Ok(())),
+            (
+                Gpa::new(HUGE_PAGE_SIZE + 0x2000),
+                2 * HUGE_PAGE_SIZE,
+                Err(HvError::Unmapped(hole)),
+            ),
+            (
+                Gpa::new(0),
+                4 * HUGE_PAGE_SIZE,
+                Err(HvError::Unmapped(hole)),
+            ),
+        ];
+        for (gpa, len, want) in cases {
+            let (mut host, mut vm) = prepare();
+            let (mut ref_host, ref_vm) = prepare();
+            let got = vm.fill_gpa(&mut host, gpa, len, 0xa5);
+            let reference = fill_per_page(&ref_vm, &mut ref_host, gpa, len, 0xa5);
+            assert_eq!(got, want, "fill {len:#x} at {gpa}");
+            assert_eq!(got, reference);
+            assert!(
+                host.dram().store() == ref_host.dram().store(),
+                "store contents diverge for {len:#x} at {gpa}"
+            );
+            assert_eq!(host.now(), ref_host.now());
+        }
     }
 
     #[test]

@@ -19,6 +19,7 @@
 //! [`Journal::resume`]) also truncates the torn bytes away so new
 //! records never glue onto them.
 
+use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::Path;
@@ -88,8 +89,10 @@ impl From<io::Error> for JournalError {
 pub struct Recovered {
     /// The job spec from the header (validated).
     pub spec: JobSpec,
-    /// Per grid index, the completed cell's line (newline included).
-    pub lines: Vec<Option<String>>,
+    /// Grid index → the completed cell's line (newline included). Only
+    /// cells with a record are present, so the map's size follows the
+    /// input bytes, not the spec's grid size.
+    pub lines: BTreeMap<usize, String>,
     /// Length in bytes of the intact prefix: everything but a torn
     /// final record.
     pub intact_len: usize,
@@ -121,7 +124,7 @@ pub fn parse(bytes: &[u8]) -> Result<Recovered, JournalError> {
         .cell_count()
         .expect("job_spec_from_json validates the grid size");
 
-    let mut done: Vec<Option<String>> = vec![None; cells];
+    let mut done = BTreeMap::new();
     // `split` yields one empty piece after the final newline.
     let records: Vec<&[u8]> = lines.collect();
     let records = &records[..records.len().saturating_sub(1)];
@@ -131,7 +134,7 @@ pub fn parse(bytes: &[u8]) -> Result<Recovered, JournalError> {
         if index >= cells {
             return Err(JournalError::IndexOutOfRange { line, index, cells });
         }
-        done[index] = Some(format!("{text}\n"));
+        done.insert(index, format!("{text}\n"));
     }
     Ok(Recovered {
         spec,
@@ -355,8 +358,11 @@ mod tests {
             let got = parse(body.as_bytes());
             match (want, got) {
                 (Want::Lines(lines, torn), Ok(rec)) => {
-                    let want: Vec<Option<String>> =
-                        lines.iter().map(|l| l.map(str::to_string)).collect();
+                    let want: BTreeMap<usize, String> = lines
+                        .iter()
+                        .enumerate()
+                        .filter_map(|(i, l)| Some((i, (*l)?.to_string())))
+                        .collect();
                     assert_eq!(rec.lines, want, "{name}");
                     assert_eq!(rec.spec, spec(), "{name}");
                     assert_eq!(rec.torn, torn, "{name}");
@@ -388,12 +394,20 @@ mod tests {
             check::mutate(rng, &mut bytes, ALPHABET);
             match parse(&bytes) {
                 Ok(rec) => {
-                    // The per-cell table is sized by the validated spec;
-                    // every line in it was read out of the input.
-                    assert_eq!(Some(rec.lines.len()), rec.spec.cell_count());
-                    assert!(rec.lines.len() <= MAX_CELLS);
+                    // The table holds one entry per complete record, so
+                    // it is bounded by the input, whatever grid size the
+                    // spec names; every line in it was read out of the
+                    // input.
+                    let records = bytes[..rec.intact_len]
+                        .iter()
+                        .filter(|&&b| b == b'\n')
+                        .count();
+                    assert!(rec.lines.len() <= records.saturating_sub(2));
+                    let cells = rec.spec.cell_count().expect("validated spec");
+                    assert!(cells <= MAX_CELLS);
+                    assert!(rec.lines.keys().all(|&i| i < cells));
                     assert_eq!(rec.torn, rec.intact_len < bytes.len());
-                    let filled: usize = rec.lines.iter().flatten().map(String::len).sum();
+                    let filled: usize = rec.lines.values().map(String::len).sum();
                     assert!(filled <= rec.intact_len, "{filled} > {}", rec.intact_len);
                 }
                 Err(JournalError::Io(e)) => panic!("parsing bytes cannot fail I/O: {e}"),
@@ -420,10 +434,7 @@ mod tests {
         drop(file);
         let (mut journal, rec) = Journal::resume(&path).unwrap();
         assert!(rec.torn);
-        assert_eq!(
-            rec.lines,
-            vec![None, None, Some("{\"c\": 2}\n".to_string())]
-        );
+        assert_eq!(rec.lines, BTreeMap::from([(2, "{\"c\": 2}\n".to_string())]));
         journal.append(0, "{\"c\": 0}\n").unwrap();
         drop(journal);
         // `open` appends to a recovered journal without reading it.
@@ -436,11 +447,11 @@ mod tests {
         assert!(!rec.torn);
         assert_eq!(
             rec.lines,
-            vec![
-                Some("{\"c\": 0}\n".to_string()),
-                Some("{\"c\": 1}\n".to_string()),
-                Some("{\"c\": 2}\n".to_string())
-            ]
+            BTreeMap::from([
+                (0, "{\"c\": 0}\n".to_string()),
+                (1, "{\"c\": 1}\n".to_string()),
+                (2, "{\"c\": 2}\n".to_string())
+            ])
         );
         assert!(matches!(
             Journal::resume(&dir.join("missing")),

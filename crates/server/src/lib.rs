@@ -52,7 +52,7 @@ pub mod client;
 pub mod http;
 pub mod journal;
 
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
 use std::io::{self, BufRead, BufReader, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
@@ -211,10 +211,12 @@ pub enum LineWait {
 #[derive(Debug)]
 struct JobState {
     status: JobStatus,
-    /// Per-cell NDJSON lines, indexed by grid order; `None` until the
-    /// cell completes. Filled out of order by workers, drained in grid
-    /// order by streamers.
-    lines: Vec<Option<String>>,
+    /// Cells in the job's grid.
+    cells: usize,
+    /// Completed cells' NDJSON lines by grid index. Filled out of order
+    /// by workers, drained in grid order by streamers; a cell is absent
+    /// until it completes, so a queued job costs nothing per cell.
+    lines: BTreeMap<usize, String>,
     completed: usize,
     start_order: Option<u64>,
     aggregate: CampaignAggregate,
@@ -236,14 +238,21 @@ struct Job {
 }
 
 impl Job {
-    /// A queued job whose already-completed cells are `lines`.
-    fn new(spec: JobSpec, lines: Vec<Option<String>>, journal_path: Option<PathBuf>) -> Self {
+    /// A queued job of `cells` cells whose already-completed cells are
+    /// `lines`.
+    fn new(
+        spec: JobSpec,
+        cells: usize,
+        lines: BTreeMap<usize, String>,
+        journal_path: Option<PathBuf>,
+    ) -> Self {
         Self {
             spec,
             cancel: CancelToken::new(),
             state: Mutex::new(JobState {
                 status: JobStatus::Queued,
-                completed: lines.iter().filter(|l| l.is_some()).count(),
+                completed: lines.len(),
+                cells,
                 lines,
                 start_order: None,
                 aggregate: CampaignAggregate::default(),
@@ -355,7 +364,7 @@ impl CellConsumer for LineSink {
         }
         let mut state = self.job.state.lock().expect("job state poisoned");
         state.aggregate.observe(&result);
-        state.lines[index] = Some(line);
+        state.lines.insert(index, line);
         state.completed += 1;
         self.job.wake.notify_all();
         Ok(None)
@@ -458,7 +467,7 @@ impl JobManager {
             return shutting_down();
         }
         let priority = spec.priority;
-        let job = Arc::new(Job::new(spec, vec![None; cells], path));
+        let job = Arc::new(Job::new(spec, cells, BTreeMap::new(), path));
         registry.jobs.insert(id, job);
         registry.queue.push(QueueEntry { priority, seq, id });
         drop(registry);
@@ -485,7 +494,7 @@ impl JobManager {
             id,
             status: state.status.clone(),
             priority: job.spec.priority,
-            cells: state.lines.len(),
+            cells: state.cells,
             completed: state.completed,
             start_order: state.start_order,
             aggregate: state.aggregate.clone(),
@@ -522,11 +531,11 @@ impl JobManager {
     pub fn wait_line(&self, id: u64, index: usize) -> Option<LineWait> {
         let job = self.job(id)?;
         let mut state = job.state.lock().expect("job state poisoned");
-        if index >= state.lines.len() {
+        if index >= state.cells {
             return None;
         }
         loop {
-            if let Some(line) = &state.lines[index] {
+            if let Some(line) = state.lines.get(&index) {
                 return Some(LineWait::Line(line.clone()));
             }
             if state.status.is_terminal() {
@@ -667,7 +676,11 @@ fn restore_spool(dir: &Path, registry: &mut Registry) -> io::Result<()> {
     found.sort_by_key(|(id, ..)| *id);
     for (id, path, recovered) in found {
         let priority = recovered.spec.priority;
-        let job = Arc::new(Job::new(recovered.spec, recovered.lines, Some(path)));
+        let cells = recovered
+            .spec
+            .cell_count()
+            .expect("journal::parse validates the grid size");
+        let job = Arc::new(Job::new(recovered.spec, cells, recovered.lines, Some(path)));
         let seq = registry.next_seq;
         registry.next_seq += 1;
         registry.jobs.insert(id, job);
@@ -765,14 +778,17 @@ fn run_job(shared: &Arc<Shared>, job: &Arc<Job>) {
     let jobs = resolve_jobs(job.spec.jobs);
     // Cells restored from the spool (or already present for any other
     // reason) are skipped; their published lines stay as-is.
-    let done: Vec<bool> = {
+    let done: BTreeSet<usize> = {
         let state = job.state.lock().expect("job state poisoned");
-        state.lines.iter().map(Option::is_some).collect()
+        state.lines.keys().copied().collect()
     };
-    let outcome = grid.run_streamed_resume(jobs, &refs, &job.cancel, &|i| done[i], |_| LineSink {
-        job: Arc::clone(job),
-        fmt_cell: shared.fmt_cell,
-    });
+    let outcome =
+        grid.run_streamed_resume(jobs, &refs, &job.cancel, &|i| done.contains(&i), |_| {
+            LineSink {
+                job: Arc::clone(job),
+                fmt_cell: shared.fmt_cell,
+            }
+        });
     match outcome {
         Ok(_) => {
             job.set_status(JobStatus::Done);

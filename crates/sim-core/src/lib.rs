@@ -17,6 +17,8 @@
 //!   experiment is reproducible from a single seed.
 //! * [`check`] — a miniature deterministic property-testing harness built
 //!   on [`rng`].
+//! * [`hash`] — the fixed multiply-fold hasher behind the simulator's
+//!   integer-keyed maps.
 //! * [`json`] — the one JSON codec: a depth-bounded, strict RFC 8259
 //!   parser with typed errors, and the one string escaper.
 //! * [`size`] — human-friendly byte sizes.
@@ -48,6 +50,7 @@
 pub mod addr;
 pub mod check;
 pub mod clock;
+pub mod hash;
 pub mod json;
 pub mod mem;
 pub mod rng;
