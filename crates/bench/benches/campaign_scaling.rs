@@ -21,12 +21,14 @@ use std::num::NonZeroUsize;
 
 use hh_bench::harness::{quick, BatchSize, Criterion};
 use hh_bench::{criterion_group, criterion_main};
+use hh_trace::TraceSink;
 use hyperhammer::driver::DriverParams;
 use hyperhammer::machine::Scenario;
-use hyperhammer::parallel::{resolve_jobs, CampaignGrid, CellResult};
-use hyperhammer::streamref::{merge_shards, CampaignAggregate, CampaignStreamer};
+use hyperhammer::parallel::{resolve_jobs, CampaignGrid, CellConsumer, CellResult};
+use hyperhammer::streamref::{CampaignAggregate, GridWriter};
 use hyperhammer::{CancelToken, MachineTemplate};
 use std::hint::black_box;
+use std::sync::Mutex;
 
 fn grid(cells: usize) -> CampaignGrid {
     let params = DriverParams {
@@ -109,37 +111,59 @@ fn bench_scaling(c: &mut Criterion) {
     }
 }
 
-/// One full streaming run: spill to a scratch dir, merge into the
-/// void, fold the aggregate — the production pipeline minus stdout.
-fn run_streamed_discard(grid: &CampaignGrid, jobs: NonZeroUsize, dir: &std::path::Path) {
-    type Fmt = fn(&CellResult, &mut String);
-    let fmt_cell: Fmt = |r, out| {
+/// One worker's consumer in [`run_streamed_discard`]: folds the
+/// aggregate and sends the cell's line through the shared writer.
+struct DiscardSink<'a> {
+    aggregate: CampaignAggregate,
+    cells: &'a Mutex<GridWriter<std::io::Sink>>,
+}
+
+impl CellConsumer for DiscardSink<'_> {
+    fn consume(
+        &mut self,
+        index: usize,
+        mut result: CellResult,
+    ) -> std::io::Result<Option<TraceSink>> {
         use std::fmt::Write as _;
+        self.aggregate.observe(&result);
+        let mut line = String::new();
         writeln!(
-            out,
+            line,
             "{} {} {}",
-            r.seed,
-            r.catalog_bits,
-            r.stats.attempts.len()
+            result.seed,
+            result.catalog_bits,
+            result.stats.attempts.len()
         )
         .expect("write to String");
-    };
-    let fmt_trace: Fmt = |_, _| {};
+        self.cells
+            .lock()
+            .expect("writer poisoned")
+            .put(index, line)?;
+        Ok(result.trace.take())
+    }
+}
+
+/// One full streaming run: every cell's line through the grid-order
+/// writer into the void, the aggregate folded — the production
+/// pipeline minus stdout.
+fn run_streamed_discard(grid: &CampaignGrid, jobs: NonZeroUsize) {
     let templates = grid.scenario_templates();
     let refs: Vec<&MachineTemplate> = templates.iter().collect();
+    let cells = Mutex::new(GridWriter::new(std::io::sink()));
     let consumers = grid
-        .run_streamed_resume(jobs, &refs, &CancelToken::new(), &|_| false, |worker| {
-            CampaignStreamer::new(dir, worker, false, fmt_cell, fmt_trace)
+        .run_streamed_resume(jobs, &refs, &CancelToken::new(), &|_| false, |_| {
+            DiscardSink {
+                aggregate: CampaignAggregate::default(),
+                cells: &cells,
+            }
         })
         .expect("streamed grid runs");
-    let mut aggregates = Vec::new();
-    let mut shards = Vec::new();
-    for consumer in consumers {
-        let (aggregate, cells, _) = consumer.finish().expect("spill flush");
-        aggregates.push(aggregate);
-        shards.extend(cells);
-    }
-    merge_shards(shards, grid.len(), &mut std::io::sink()).expect("shards tile the grid");
+    let aggregates: Vec<CampaignAggregate> = consumers.into_iter().map(|c| c.aggregate).collect();
+    cells
+        .into_inner()
+        .expect("writer poisoned")
+        .finish(grid.len())
+        .expect("every cell written once");
     black_box(CampaignAggregate::merged(&aggregates));
 }
 
@@ -158,8 +182,6 @@ fn bench_memory(c: &mut Criterion) {
     };
     let jobs = NonZeroUsize::new(2).expect("non-zero");
     let cell_counts: [usize; 2] = if quick() { [64, 512] } else { [64, 4096] };
-    let dir = std::env::temp_dir().join(format!("hh-bench-stream-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create spill dir");
 
     let mut group = c.benchmark_group("campaign_memory");
     group.sample_size(2);
@@ -170,7 +192,7 @@ fn bench_memory(c: &mut Criterion) {
         group.bench_function(&format!("micro_stream_{cells}cells_2w"), |b| {
             b.iter_batched(
                 || (),
-                |()| run_streamed_discard(&grid, jobs, &dir),
+                |()| run_streamed_discard(&grid, jobs),
                 BatchSize::SmallInput,
             );
             // Stamped into the JSON record so bench-diff tracks the
@@ -180,7 +202,6 @@ fn bench_memory(c: &mut Criterion) {
         peaks.push(hh_sim::mem::peak_rss_kib());
     }
     group.finish();
-    let _ = std::fs::remove_dir_all(&dir);
 
     // The point of streaming: a {64,~8}x bigger grid stays within 2x
     // the small grid's peak (slack for allocator hysteresis), where the

@@ -22,9 +22,7 @@ use hyperhammer::parallel::{
 };
 use hyperhammer::profile::{ProfileParams, Profiler};
 use hyperhammer::steering::PageSteering;
-use hyperhammer::streamref::{
-    merge_shards, CampaignAggregate, CampaignStreamer, ShardInfo, VariantRow,
-};
+use hyperhammer::streamref::{CampaignAggregate, GridWriter, VariantRow};
 use hyperhammer::{JobSpec, MachineTemplate};
 
 use crate::opts::{ClientAction, Command, Options};
@@ -339,10 +337,11 @@ enum JournalMode<'a> {
 
 /// The `campaign` command — one body for every output mode. Cells run
 /// through [`CampaignGrid::run_streamed_resume`] into per-worker
-/// [`CampaignSink`]s; only the end-of-run printing differs between the
-/// in-memory table/`--json`, `--stream-out` and checkpointed runs, and
-/// each prints bytes identical to an uninterrupted in-memory run for
-/// any `--jobs` value.
+/// [`CampaignSink`]s, which send each finished cell's line (and its
+/// `--trace` lines) through a [`GridWriter`]: to stdout under `--json`,
+/// to `DIR/cells.ndjson` under `--stream-out`, or into a held buffer
+/// when checkpointing. Every mode prints bytes identical to an
+/// uninterrupted serial run for any `--jobs` value.
 fn campaign(
     opts: &Options,
     cli_spec: &JobSpec,
@@ -402,14 +401,34 @@ fn campaign(
             ),
         }
     }
-    if let Some(dir) = &opts.stream_out {
-        std::fs::create_dir_all(dir)?;
+
+    // Where the cell lines go. A checkpointed run holds them, resumed
+    // lines first, until the grid completes, so a stopped run prints none.
+    let cells_path = opts
+        .stream_out
+        .as_ref()
+        .map(|dir| Path::new(dir).join("cells.ndjson"));
+    let checkpointed = journal.is_some();
+    let lines = if checkpointed {
+        LineOut::Held(Vec::new())
+    } else if let Some(path) = &cells_path {
+        std::fs::create_dir_all(path.parent().expect("joined onto a directory"))?;
+        LineOut::Direct(Box::new(BufWriter::new(File::create(path)?)))
+    } else if opts.json {
+        LineOut::Direct(Box::new(BufWriter::new(std::io::stdout())))
+    } else {
+        LineOut::Direct(Box::new(std::io::sink()))
+    };
+    let mut cells = GridWriter::new(lines);
+    for (&index, line) in &resumed_lines {
+        cells.put(index, line.clone())?;
     }
 
     let run = CampaignRun {
         journal: journal.map(Mutex::new),
-        spill: opts.stream_out.as_deref().map(Path::new),
-        traced: opts.trace.is_some(),
+        cells: Mutex::new(cells),
+        trace: trace_writer(opts)?,
+        table: !opts.json && opts.stream_out.is_none() && !checkpointed,
         completed: AtomicUsize::new(0),
         stop_after,
         cancel: CancelToken::new(),
@@ -421,7 +440,7 @@ fn campaign(
         &refs,
         &run.cancel,
         &|index| resumed_lines.contains_key(&index),
-        |worker| CampaignSink::new(&run, worker),
+        |_| CampaignSink::new(&run),
     );
     let sinks = match (outcome, journal_mode) {
         (Ok(sinks), _) => sinks,
@@ -440,50 +459,137 @@ fn campaign(
             );
             return Ok(());
         }
+        // The lines of the cells before the failed one are already
+        // written; dropping the writers flushes them.
         (Err(e), _) => return Err(e.into()),
     };
 
+    // End of the run: finish the writers, then the reports.
     let mut aggregate = CampaignAggregate::default();
-    let mut kept = Vec::new();
-    let mut cell_shards = Vec::new();
-    let mut trace_shards = Vec::new();
+    let mut rows = Vec::new();
+    let mut events = 0;
     for sink in sinks {
         aggregate.merge(&sink.aggregate);
-        kept.extend(sink.kept);
-        if let Some(spill) = sink.spill {
-            let (spilled, cells, traces) = spill.finish()?;
-            aggregate.merge(&spilled);
-            cell_shards.extend(cells);
-            trace_shards.extend(traces);
+        rows.extend(sink.rows);
+        events += sink.events;
+    }
+    let lines = run
+        .cells
+        .into_inner()
+        .expect("cell writer poisoned")
+        .finish(grid.len())?;
+    if let Some(trace) = run.trace {
+        trace
+            .into_inner()
+            .expect("trace writer poisoned")
+            .finish(grid.len())?;
+    }
+    // `aggregate` holds this run's cells; the resumed ones count from
+    // their journal records.
+    for line in resumed_lines.values() {
+        observe_journal_line(&mut aggregate, line)?;
+    }
+    let variant_rows = aggregate.variant_rows();
+
+    if opts.json {
+        let stdout = std::io::stdout();
+        let mut out = stdout.lock();
+        match (lines, &cells_path) {
+            (LineOut::Held(held), _) => out.write_all(&held)?,
+            // Replay the merged file so stdout carries the same NDJSON
+            // bytes a plain `--json` run prints.
+            (_, Some(path)) => {
+                std::io::copy(&mut File::open(path)?, &mut out)?;
+            }
+            // Already written, cell by cell.
+            (LineOut::Direct(_), None) => {}
+        }
+        out.flush()?;
+        print_variant_report(&variant_rows, true);
+    } else if checkpointed {
+        println!(
+            "campaign: complete — {} cells ({} run now, {resumed} resumed)",
+            grid.len(),
+            grid.len() - resumed
+        );
+        print_variant_report(&variant_rows, false);
+    } else if let Some(path) = &cells_path {
+        print_streamed_summary(opts, &aggregate);
+        print_variant_report(&variant_rows, false);
+        println!("results: {}", path.display());
+    } else {
+        if let Some(path) = &opts.trace {
+            println!("trace: wrote {events} events to {path}");
+        }
+        rows.sort_unstable_by_key(|(index, _)| *index);
+        print_cell_table(rows.iter().map(|(_, out)| out));
+        print_variant_report(&variant_rows, false);
+    }
+    report_peak_rss();
+    Ok(())
+}
+
+/// Where a campaign's cell lines go: held in memory until a
+/// checkpointed grid completes, or written straight through.
+enum LineOut {
+    Held(Vec<u8>),
+    Direct(Box<dyn Write + Send>),
+}
+
+impl Write for LineOut {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        match self {
+            LineOut::Held(held) => held.write(buf),
+            LineOut::Direct(out) => out.write(buf),
         }
     }
-    kept.sort_unstable_by_key(|cell| cell.index);
 
-    if run.journal.is_some() {
-        print_checkpointed(opts, aggregate, grid.len(), resumed_lines, kept, resumed)
-    } else if let Some(dir) = &opts.stream_out {
-        print_streamed(
-            opts,
-            &grid,
-            &aggregate,
-            Path::new(dir),
-            cell_shards,
-            trace_shards,
-        )
-    } else {
-        print_in_memory(opts, &aggregate, &kept)
+    fn flush(&mut self) -> std::io::Result<()> {
+        match self {
+            LineOut::Held(_) => Ok(()),
+            LineOut::Direct(out) => out.flush(),
+        }
     }
+}
+
+/// The `--trace PATH` file, written in grid order as cells finish.
+type TraceWriter = Mutex<GridWriter<BufWriter<File>>>;
+
+fn trace_writer(opts: &Options) -> std::io::Result<Option<TraceWriter>> {
+    opts.trace
+        .as_ref()
+        .map(|path| {
+            Ok(Mutex::new(GridWriter::new(BufWriter::new(File::create(
+                path,
+            )?))))
+        })
+        .transpose()
+}
+
+/// Sends cell `index`'s trace lines through `writer`; returns the
+/// cell's event count.
+fn put_trace(writer: &TraceWriter, index: usize, result: &CellResult) -> std::io::Result<usize> {
+    let mut lines = String::new();
+    let events = trace_lines(result.trace.as_ref(), &mut lines);
+    writer
+        .lock()
+        .expect("trace writer poisoned")
+        .put(index, lines)?;
+    Ok(events)
 }
 
 /// Worker-independent state of one `campaign` run, shared by every
 /// worker's [`CampaignSink`].
-struct CampaignRun<'a> {
+struct CampaignRun {
     /// The `--checkpoint`/`--resume` journal.
     journal: Option<Mutex<Journal>>,
-    /// The `--stream-out` directory shards spill into.
-    spill: Option<&'a Path>,
-    /// Whether cells carry trace events to spill (`--trace`).
-    traced: bool,
+    /// The cell lines, in grid order.
+    cells: Mutex<GridWriter<LineOut>>,
+    /// The `--trace` event lines, in grid order.
+    trace: Option<TraceWriter>,
+    /// Whether the human table is printed; its column widths need every
+    /// cell's row.
+    table: bool,
     /// Cells newly completed by this run (resumed cells not included).
     completed: AtomicUsize,
     /// `--stop-after-cells`.
@@ -491,59 +597,28 @@ struct CampaignRun<'a> {
     cancel: CancelToken,
 }
 
-/// One finished cell's output, kept for the grid-order printing at the
-/// end of an in-memory or checkpointed run.
-struct KeptCell {
-    index: usize,
-    out: CampaignCellOut,
-    /// The cell's NDJSON line, newline included.
-    line: String,
-    /// The cell's trace (`--trace`), formatted only when the trace file
-    /// is written: events are far smaller than their NDJSON lines.
-    trace: Option<TraceSink>,
-}
-
-/// Cell and trace line formatter handed to [`CampaignStreamer`].
-type LineFmt = fn(&CellResult, &mut String);
-
 /// The `campaign` consumer: formats each finished cell's line once,
-/// folds it into the worker's [`CampaignAggregate`], appends it to the
-/// journal when checkpointing, and keeps it for the end-of-run printing
-/// — or, under `--stream-out`, hands it to the standard spilling
-/// [`CampaignStreamer`] so peak memory stays O(workers).
+/// folds the cell into the worker's [`CampaignAggregate`], appends the
+/// line to the journal when checkpointing, and sends it (and the cell's
+/// trace lines) through the run's grid-order writers.
 struct CampaignSink<'a> {
-    run: &'a CampaignRun<'a>,
+    run: &'a CampaignRun,
     aggregate: CampaignAggregate,
-    kept: Vec<KeptCell>,
-    /// The `--stream-out` consumer every cell goes to instead. Options
-    /// parsing rejects checkpointing with `--stream-out`, so a spilled
-    /// cell never needs the journal or `--stop-after-cells`.
-    spill: Option<CampaignStreamer<LineFmt, LineFmt>>,
+    /// The human table's rows, by grid index.
+    rows: Vec<(usize, CampaignCellOut)>,
+    /// Trace events written.
+    events: usize,
 }
 
 impl<'a> CampaignSink<'a> {
-    fn new(run: &'a CampaignRun<'a>, worker: usize) -> Self {
-        let spill = run.spill.map(|dir| {
-            CampaignStreamer::new(
-                dir,
-                worker,
-                run.traced,
-                campaign_cell_line as LineFmt,
-                spill_trace_lines as LineFmt,
-            )
-        });
+    fn new(run: &'a CampaignRun) -> Self {
         Self {
             run,
             aggregate: CampaignAggregate::default(),
-            kept: Vec::new(),
-            spill,
+            rows: Vec::new(),
+            events: 0,
         }
     }
-}
-
-/// A spilled cell's `--trace` event lines.
-fn spill_trace_lines(result: &CellResult, out: &mut String) {
-    out.push_str(&trace_lines(result.trace.as_ref()));
 }
 
 impl CellConsumer for CampaignSink<'_> {
@@ -552,9 +627,6 @@ impl CellConsumer for CampaignSink<'_> {
         index: usize,
         mut result: CellResult,
     ) -> std::io::Result<Option<TraceSink>> {
-        if let Some(spill) = &mut self.spill {
-            return spill.consume(index, result);
-        }
         self.aggregate.observe(&result);
         let mut line = String::new();
         campaign_cell_line(&result, &mut line);
@@ -564,60 +636,34 @@ impl CellConsumer for CampaignSink<'_> {
                 .expect("journal poisoned")
                 .append(index, &line)?;
         }
+        self.run
+            .cells
+            .lock()
+            .expect("cell writer poisoned")
+            .put(index, line)?;
+        if let Some(trace) = &self.run.trace {
+            self.events += put_trace(trace, index, &result)?;
+        }
+        if self.run.table {
+            self.rows.push((index, cell_out(&result)));
+        }
         let newly = self.run.completed.fetch_add(1, Ordering::SeqCst) + 1;
         if self.run.stop_after.is_some_and(|k| newly >= k) {
             self.run.cancel.cancel();
         }
-        self.kept.push(KeptCell {
-            index,
-            out: cell_out(&result),
-            line,
-            trace: result.trace.take(),
-        });
-        Ok(None)
+        Ok(result.trace.take())
     }
 }
 
-/// End of an in-memory run: the `--trace` file, then the result table
-/// (or the NDJSON records) and the variant report.
-fn print_in_memory(
-    opts: &Options,
-    aggregate: &CampaignAggregate,
-    kept: &[KeptCell],
-) -> Result<(), Box<dyn std::error::Error>> {
-    if let Some(path) = &opts.trace {
-        let events = write_ndjson(
-            path,
-            kept.iter().map(|cell| trace_lines(cell.trace.as_ref())),
-        )?;
-        if !opts.json {
-            println!("trace: wrote {events} events to {path}");
-        }
-    }
-    report_peak_rss();
-    let variant_rows = aggregate.variant_rows();
-
-    if opts.json {
-        // NDJSON: one record per cell, in grid order — the reference
-        // bytes the streaming path's merged cells.ndjson must equal.
-        let stdout = std::io::stdout();
-        let mut out = stdout.lock();
-        for cell in kept {
-            out.write_all(cell.line.as_bytes())?;
-        }
-        out.flush()?;
-        print_variant_report(&variant_rows, true);
-        return Ok(());
-    }
-
-    let header = [
+/// The human result table, one row per cell in grid order.
+fn print_cell_table<'a>(cells: impl Iterator<Item = &'a CampaignCellOut>) {
+    use hh_bench::harness::{fit_widths, header, row};
+    let names = [
         "scenario", "seed", "attempts", "first ok", "avg mins", "hours",
     ];
-    let rows: Vec<[String; 6]> = kept
-        .iter()
-        .map(|cell| {
-            let c = &cell.out;
-            [
+    let rows: Vec<Vec<String>> = cells
+        .map(|c| {
+            vec![
                 c.scenario.clone(),
                 format!("{:#x}", c.seed),
                 c.attempts.to_string(),
@@ -629,144 +675,55 @@ fn print_in_memory(
             ]
         })
         .collect();
-    let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
-    for row in &rows {
-        for (w, cell) in widths.iter_mut().zip(row.iter()) {
-            *w = (*w).max(cell.len());
-        }
+    let min_widths: Vec<usize> = names.iter().map(|n| n.len()).collect();
+    let widths = fit_widths(&min_widths, &rows);
+    println!("{}", header(&names, &widths));
+    for cells in &rows {
+        println!("{}", row(cells, &widths));
     }
-    let print_row = |cells: &[String]| {
-        let body: Vec<String> = cells
-            .iter()
-            .zip(&widths)
-            .map(|(c, w)| format!("{c:>w$}", w = *w))
-            .collect();
-        println!("| {} |", body.join(" | "));
-    };
-    print_row(&header.map(String::from));
+}
+
+/// The `--stream-out` human summary: aggregate quantiles instead of the
+/// per-cell table.
+fn print_streamed_summary(opts: &Options, aggregate: &CampaignAggregate) {
+    let mins = |nanos: f64| nanos / 60e9;
     println!(
-        "|{}|",
-        widths
-            .iter()
-            .map(|w| "-".repeat(w + 2))
-            .collect::<Vec<_>>()
-            .join("|")
+        "streamed: {} cells, {} succeeded, {} attempts ({} aborted)",
+        aggregate.cells, aggregate.succeeded, aggregate.attempts, aggregate.aborted_attempts
     );
-    for row in &rows {
-        print_row(row);
+    println!(
+        "catalog bits: mean {:.1}, p50 <= {}, p95 <= {}",
+        aggregate.catalog_bits.mean(),
+        aggregate.catalog_bits.quantile(0.5),
+        aggregate.catalog_bits.quantile(0.95)
+    );
+    println!(
+        "attempt mins: mean {:.2}, p50 <= {:.2}, p95 <= {:.2}",
+        mins(aggregate.attempt_nanos.mean()),
+        mins(aggregate.attempt_nanos.quantile(0.5) as f64),
+        mins(aggregate.attempt_nanos.quantile(0.95) as f64)
+    );
+    if aggregate.success_nanos.count() > 0 {
+        println!(
+            "time to success (hours): mean {:.2}, p95 <= {:.2}",
+            aggregate.success_nanos.mean() / 3600e9,
+            aggregate.success_nanos.quantile(0.95) as f64 / 3600e9
+        );
     }
-    print_variant_report(&variant_rows, false);
-    Ok(())
-}
-
-/// End of a `--stream-out` run: merges the shards in grid order into
-/// `DIR/cells.ndjson` (and the `--trace` path), then prints the
-/// streamed summary (or replays the merged NDJSON).
-fn print_streamed(
-    opts: &Options,
-    grid: &CampaignGrid,
-    aggregate: &CampaignAggregate,
-    dir: &Path,
-    cell_shards: Vec<ShardInfo>,
-    trace_shards: Vec<ShardInfo>,
-) -> Result<(), Box<dyn std::error::Error>> {
-    let merged_path = dir.join("cells.ndjson");
-    let mut out = BufWriter::new(File::create(&merged_path)?);
-    merge_shards(cell_shards, grid.len(), &mut out)?;
-    drop(out);
     if let Some(path) = &opts.trace {
-        let mut out = BufWriter::new(File::create(path)?);
-        merge_shards(trace_shards, grid.len(), &mut out)?;
-    }
-
-    let variant_rows = aggregate.variant_rows();
-    if opts.json {
-        // Replay the merged file so stdout carries the same NDJSON
-        // bytes the in-memory path prints.
-        let mut file = File::open(&merged_path)?;
-        let stdout = std::io::stdout();
-        std::io::copy(&mut file, &mut stdout.lock())?;
-        print_variant_report(&variant_rows, true);
-    } else {
-        let mins = |nanos: f64| nanos / 60e9;
-        println!(
-            "streamed: {} cells, {} succeeded, {} attempts ({} aborted)",
-            aggregate.cells, aggregate.succeeded, aggregate.attempts, aggregate.aborted_attempts
-        );
-        println!(
-            "catalog bits: mean {:.1}, p50 <= {}, p95 <= {}",
-            aggregate.catalog_bits.mean(),
-            aggregate.catalog_bits.quantile(0.5),
-            aggregate.catalog_bits.quantile(0.95)
-        );
-        println!(
-            "attempt mins: mean {:.2}, p50 <= {:.2}, p95 <= {:.2}",
-            mins(aggregate.attempt_nanos.mean()),
-            mins(aggregate.attempt_nanos.quantile(0.5) as f64),
-            mins(aggregate.attempt_nanos.quantile(0.95) as f64)
-        );
-        if aggregate.success_nanos.count() > 0 {
-            println!(
-                "time to success (hours): mean {:.2}, p95 <= {:.2}",
-                aggregate.success_nanos.mean() / 3600e9,
-                aggregate.success_nanos.quantile(0.95) as f64 / 3600e9
-            );
-        }
-        if let Some(path) = &opts.trace {
-            for stage in Stage::ALL {
-                let sketch = &aggregate.stage_nanos[stage.index()];
-                if sketch.count() > 0 {
-                    println!(
-                        "stage {}: mean {:.3} ms/cell, p95 <= {:.3} ms",
-                        stage.name(),
-                        sketch.mean() / 1e6,
-                        sketch.quantile(0.95) as f64 / 1e6
-                    );
-                }
+        for stage in Stage::ALL {
+            let sketch = &aggregate.stage_nanos[stage.index()];
+            if sketch.count() > 0 {
+                println!(
+                    "stage {}: mean {:.3} ms/cell, p95 <= {:.3} ms",
+                    stage.name(),
+                    sketch.mean() / 1e6,
+                    sketch.quantile(0.95) as f64 / 1e6
+                );
             }
-            println!("trace: merged stream to {path}");
         }
-        print_variant_report(&variant_rows, false);
-        println!("results: {}", merged_path.display());
+        println!("trace: merged stream to {path}");
     }
-    report_peak_rss();
-    Ok(())
-}
-
-/// End of a checkpointed run: the full grid's NDJSON records — resumed
-/// ones from the journal, new ones from this run — or a one-line
-/// completion note, then the variant report over both.
-fn print_checkpointed(
-    opts: &Options,
-    mut rollup: CampaignAggregate,
-    cells: usize,
-    mut lines: BTreeMap<usize, String>,
-    kept: Vec<KeptCell>,
-    resumed: usize,
-) -> Result<(), Box<dyn std::error::Error>> {
-    // `rollup` holds this run's cells; the resumed ones count from
-    // their journal records.
-    for line in lines.values() {
-        observe_journal_line(&mut rollup, line)?;
-    }
-    lines.extend(kept.into_iter().map(|cell| (cell.index, cell.line)));
-    if opts.json {
-        assert_eq!(lines.len(), cells, "all cells complete");
-        let stdout = std::io::stdout();
-        let mut out = stdout.lock();
-        for line in lines.values() {
-            out.write_all(line.as_bytes())?;
-        }
-        out.flush()?;
-    } else {
-        println!(
-            "campaign: complete — {cells} cells ({} run now, {resumed} resumed)",
-            cells - resumed
-        );
-    }
-    print_variant_report(&rollup.variant_rows(), opts.json);
-    report_peak_rss();
-    Ok(())
 }
 
 /// Folds a resumed cell's journal record into the per-variant rollup:
@@ -791,23 +748,6 @@ fn observe_journal_line(rollup: &mut CampaignAggregate, line: &str) -> Result<()
         .as_u64()
         .ok_or("journal attempts is not a count")?;
     Ok(())
-}
-
-/// Writes NDJSON chunks (each zero or more complete lines) to `path` in
-/// the order given; returns the number of lines written.
-fn write_ndjson<S: AsRef<str>>(
-    path: &str,
-    chunks: impl IntoIterator<Item = S>,
-) -> std::io::Result<usize> {
-    let mut w = BufWriter::new(File::create(path)?);
-    let mut lines = 0usize;
-    for chunk in chunks {
-        let chunk = chunk.as_ref();
-        lines += chunk.lines().count();
-        w.write_all(chunk.as_bytes())?;
-    }
-    w.flush()?;
-    Ok(lines)
 }
 
 /// The cell's display name: bare for the default virtio-mem variant
@@ -841,11 +781,11 @@ pub fn campaign_cell_line(result: &CellResult, out: &mut String) {
     out.push('\n');
 }
 
-/// One cell's trace-event lines — the bytes the `--trace` file holds
-/// for the cell (none for an untraced cell).
-fn trace_lines(sink: Option<&TraceSink>) -> String {
-    let mut out = String::new();
-    let Some(sink) = sink else { return out };
+/// Appends one cell's trace-event lines — the bytes the `--trace` file
+/// holds for the cell (none for an untraced cell) — to `out`; returns
+/// the number of events.
+fn trace_lines(sink: Option<&TraceSink>, out: &mut String) -> usize {
+    let Some(sink) = sink else { return 0 };
     for event in sink.events() {
         let record = TraceEventOut {
             cell: sink.cell(),
@@ -854,7 +794,7 @@ fn trace_lines(sink: Option<&TraceSink>) -> String {
         out.push_str(&output::to_json_line(&record));
         out.push('\n');
     }
-    out
+    sink.events().len()
 }
 
 /// Prints the cross-variant comparison report. Single-variant grids
@@ -927,25 +867,31 @@ fn trace(opts: &Options, spec: &JobSpec) -> Result<(), Box<dyn std::error::Error
             jobs
         );
     }
-    let results = grid.run(jobs)?;
-    if let Some(path) = &opts.trace {
-        let events = write_ndjson(
-            path,
-            results
-                .iter()
-                .map(|result| trace_lines(result.trace.as_ref())),
-        )?;
+    let writer = trace_writer(opts)?;
+    let templates = grid.scenario_templates();
+    let refs: Vec<&MachineTemplate> = templates.iter().collect();
+    let sinks = grid.run_streamed_resume(jobs, &refs, &CancelToken::new(), &|_| false, |_| {
+        MetricsSink {
+            metrics: Metrics::default(),
+            trace: writer.as_ref(),
+            events: 0,
+        }
+    })?;
+    // Merge the per-worker metrics: element-wise sums, so the totals
+    // are identical for every --jobs value.
+    let mut merged = Metrics::default();
+    let mut events = 0;
+    for sink in &sinks {
+        merged.merge(&sink.metrics);
+        events += sink.events;
+    }
+    if let (Some(writer), Some(path)) = (writer, &opts.trace) {
+        writer
+            .into_inner()
+            .expect("trace writer poisoned")
+            .finish(grid.len())?;
         if !opts.json {
             println!("trace: wrote {events} events to {path}");
-        }
-    }
-
-    // Merge per-cell metrics in grid order (element-wise, so the totals
-    // are identical for every --jobs value).
-    let mut merged = Metrics::default();
-    for result in &results {
-        if let Some(sink) = &result.trace {
-            merged.merge(sink.metrics());
         }
     }
 
@@ -1005,6 +951,31 @@ fn trace(opts: &Options, spec: &JobSpec) -> Result<(), Box<dyn std::error::Error
         println!("  {name:<24} {value}");
     }
     Ok(())
+}
+
+/// The `trace` consumer: folds each cell's metrics into the worker's
+/// total and sends its event lines through the `--trace` writer.
+struct MetricsSink<'a> {
+    metrics: Metrics,
+    trace: Option<&'a TraceWriter>,
+    /// Trace events written.
+    events: usize,
+}
+
+impl CellConsumer for MetricsSink<'_> {
+    fn consume(
+        &mut self,
+        index: usize,
+        mut result: CellResult,
+    ) -> std::io::Result<Option<TraceSink>> {
+        if let Some(sink) = &result.trace {
+            self.metrics.merge(sink.metrics());
+        }
+        if let Some(trace) = self.trace {
+            self.events += put_trace(trace, index, &result)?;
+        }
+        Ok(result.trace.take())
+    }
 }
 
 /// Lists the registered scenario presets — the names `--scenario(s)`

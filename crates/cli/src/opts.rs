@@ -57,13 +57,13 @@ options:
                                    each line carries its cell index and
                                    cells appear in grid order, so output
                                    is byte-identical for every --jobs
-  --stream-out DIR                 (campaign) bounded-memory streaming:
-                                   spill per-worker NDJSON shards into
-                                   DIR as cells finish and merge them
-                                   into DIR/cells.ndjson at the end —
-                                   byte-identical to the in-memory
-                                   --json output, with peak RSS O(jobs)
-                                   instead of O(cells)
+  --stream-out DIR                 (campaign) write the cell records to
+                                   DIR/cells.ndjson, in grid order as
+                                   cells finish (byte-identical to the
+                                   --json output), and print aggregate
+                                   quantiles instead of the per-cell
+                                   table; every campaign streams with
+                                   peak RSS O(jobs), this picks the file
   --json                           machine-readable output
   --quarantine                     enable the §6 virtio-mem countermeasure
   --faults R                       (campaign/trace) hostile-host fault
@@ -121,8 +121,8 @@ pub struct Options {
     pub quarantine: bool,
     /// Write an NDJSON trace-event stream to this path (campaign/trace).
     pub trace: Option<String>,
-    /// Stream campaign output through NDJSON shards in this directory
-    /// (campaign), merging into `cells.ndjson` at the end.
+    /// Write the campaign's cell records to `cells.ndjson` in this
+    /// directory and print the aggregate summary (campaign).
     pub stream_out: Option<String>,
 }
 

@@ -247,3 +247,71 @@ fn seed_changes_results_deterministically() {
     ])
     .unwrap();
 }
+
+/// The quarantine blocks every attempt's release step; the campaign
+/// records the blocked attempts and prints every cell instead of
+/// aborting the run.
+#[test]
+fn quarantined_campaign_prints_every_cell() {
+    let out = sim_stdout(&[
+        "campaign",
+        "--scenarios",
+        "tiny",
+        "--seeds",
+        "2",
+        "--attempts",
+        "2",
+        "--bits",
+        "4",
+        "--quarantine",
+        "--json",
+    ]);
+    let cells: Vec<&str> = out.lines().collect();
+    assert_eq!(cells.len(), 2, "one line per cell: {out}");
+    for cell in cells {
+        assert!(cell.contains("\"first_success\": null"), "got: {cell}");
+    }
+}
+
+/// A run that fails on a cell leaves the complete lines of the cells
+/// before it on stdout, the same bytes at every worker count, and
+/// exits non-zero.
+#[test]
+fn failed_run_leaves_the_grid_prefix_on_stdout() {
+    let grid = [
+        "campaign",
+        "--scenarios",
+        "micro",
+        "--seeds",
+        "6",
+        "--attempts",
+        "2",
+        "--bits",
+        "4",
+        "--faults",
+        "0.1",
+        "--fault-seed",
+        "1",
+        "--max-retries",
+        "0",
+        "--json",
+    ];
+    let stdouts: Vec<String> = ["1", "2"]
+        .iter()
+        .map(|jobs| {
+            let out = std::process::Command::new(env!("CARGO_BIN_EXE_hyperhammer-sim"))
+                .args(grid)
+                .args(["--jobs", jobs])
+                .output()
+                .expect("spawn hyperhammer-sim");
+            assert!(!out.status.success(), "the faulted grid must fail");
+            String::from_utf8(out.stdout).expect("utf-8 stdout")
+        })
+        .collect();
+    assert_eq!(stdouts[0], stdouts[1]);
+    let lines = stdouts[0].lines().count();
+    assert!(
+        (1..6).contains(&lines),
+        "want the cells before the failed one, got {lines} lines"
+    );
+}

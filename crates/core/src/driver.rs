@@ -70,6 +70,10 @@ pub enum AttemptOutcome {
     /// the retry budget. The VM was torn down cleanly; the campaign
     /// counts the attempt as failed and moves on.
     Aborted(HvError),
+    /// A host countermeasure refused a step the attack needs (the §6
+    /// virtio-mem quarantine NACKing the release). The VM was torn down
+    /// cleanly; the attempt failed, but no transient fault caused it.
+    Blocked(HvError),
 }
 
 impl AttemptOutcome {
@@ -468,11 +472,12 @@ impl AttackDriver {
     /// Runs attempts (respawning the VM each time) until the first
     /// success or `max_attempts`. Plants a host-side witness page so a
     /// successful escape is independently verifiable, as in the paper's
-    /// §5.3.2 experiment.
+    /// §5.3.2 experiment. An attempt the quarantine refuses is recorded
+    /// as [`AttemptOutcome::Blocked`] and the campaign carries on.
     ///
     /// # Errors
     ///
-    /// Propagates hypervisor errors.
+    /// Propagates hypervisor errors other than the quarantine NACK.
     pub fn campaign(
         &self,
         scenario: &Scenario,
@@ -537,6 +542,22 @@ impl AttackDriver {
                     }
                     AttemptRecord {
                         outcome: AttemptOutcome::Aborted(e),
+                        duration: SimDuration::ZERO,
+                        bits_targeted: 0,
+                        released: 0,
+                    }
+                }
+                // The countermeasure did its job: `run_attempt` has
+                // already destroyed the VM, so the attempt is recorded
+                // and the campaign carries on.
+                Err(e @ HvError::QuarantineNack { .. }) => {
+                    assert_eq!(
+                        host.buddy().free_pages(),
+                        free_before,
+                        "blocked attempt must not leak host pages"
+                    );
+                    AttemptRecord {
+                        outcome: AttemptOutcome::Blocked(e),
                         duration: SimDuration::ZERO,
                         bits_targeted: 0,
                         released: 0,

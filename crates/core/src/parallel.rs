@@ -13,19 +13,20 @@
 //!    [`SimRng::split_seed`]`(base, index)` — a pure function of the grid's
 //!    base seed and the cell's position, never of worker count or
 //!    scheduling order.
-//! 2. **Indexed results.** Workers claim work through chunked
-//!    work-stealing deques but each result lands in its item's own
-//!    slot, so the output vector is always in grid order. A 1-worker
-//!    run and an 8-worker run of the same grid return bit-identical
-//!    [`CampaignStats`].
+//! 2. **Indexed results.** Each result carries its cell's index, so
+//!    consumers restore grid order whatever worker ran the cell. A
+//!    1-worker run and an 8-worker run of the same grid return
+//!    bit-identical [`CampaignStats`].
 //!
-//! Scheduling is *work-stealing*: every worker starts with its own
-//! deque of index chunks and, once drained, steals whole chunks from
-//! the back of its neighbours' deques. Stragglers (a cell whose
-//! campaign runs long) therefore no longer serialize the tail of the
-//! grid the way a static split would, and the deterministic-output
-//! guarantee is untouched because *which worker* runs a cell never
-//! influences *what the cell computes*.
+//! Scheduling is *in-order claiming*: every worker takes the next
+//! unclaimed index from one shared atomic counter, so cells start in
+//! ascending grid order and a free worker always picks up the oldest
+//! waiting cell. A straggler (a cell whose campaign runs long) holds up
+//! only itself, and output written in grid order
+//! ([`GridWriter`](crate::streamref::GridWriter)) waits on at most the
+//! cells already in flight. The deterministic-output guarantee is
+//! untouched because *which worker* runs a cell never influences *what
+//! the cell computes*.
 //!
 //! The engine runs exactly the worker count it is given (never more
 //! than one per item). The one CPU-clamp policy lives in
@@ -44,9 +45,7 @@
 //! [`CampaignGrid::run_streamed_resume`].
 
 use std::any::Any;
-use std::collections::VecDeque;
 use std::num::NonZeroUsize;
-use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -75,7 +74,8 @@ pub fn resolve_jobs(requested: Option<usize>) -> NonZeroUsize {
 
 /// Applies `f` to every item on `jobs` scoped workers (at most one per
 /// item), returning results in input order — a scatter over
-/// [`parallel_reduce_indexed`], whose work-stealing loop runs the items.
+/// [`parallel_reduce_indexed`], whose in-order claiming loop runs the
+/// items.
 ///
 /// `f` must itself be deterministic per item for the full determinism
 /// guarantee to hold; the campaign engine arranges that by deriving
@@ -116,61 +116,6 @@ where
         .collect()
 }
 
-/// Chunk granularity: a few chunks per worker so early finishers have
-/// something to steal, but no smaller than one item.
-fn chunk_len(n: usize, workers: usize) -> usize {
-    n.div_ceil(workers * 4).max(1)
-}
-
-/// Per-worker chunk deques with work stealing: a worker pops its own
-/// deque from the front (oldest chunk first) and steals from victims'
-/// backs, so an owner and a thief never contend for the same end until
-/// a deque is nearly empty. Chunks are only ever *removed*, so a full
-/// empty scan means the grid is done.
-struct ChunkQueues {
-    queues: Vec<Mutex<VecDeque<Range<usize>>>>,
-}
-
-impl ChunkQueues {
-    /// Deals contiguous index chunks round-robin onto `workers` deques.
-    fn deal(n: usize, workers: usize) -> Self {
-        let chunk = chunk_len(n, workers);
-        let mut deques: Vec<VecDeque<Range<usize>>> =
-            (0..workers).map(|_| VecDeque::new()).collect();
-        let mut start = 0;
-        let mut next_worker = 0;
-        while start < n {
-            let end = (start + chunk).min(n);
-            deques[next_worker].push_back(start..end);
-            next_worker = (next_worker + 1) % workers;
-            start = end;
-        }
-        Self {
-            queues: deques.into_iter().map(Mutex::new).collect(),
-        }
-    }
-
-    /// Claims the next chunk for worker `me`: own deque first, then a
-    /// fixed-ring scan of the victims.
-    fn claim(&self, me: usize) -> Option<Range<usize>> {
-        let workers = self.queues.len();
-        if let Some(range) = self.queues[me].lock().expect("queue poisoned").pop_front() {
-            return Some(range);
-        }
-        for offset in 1..workers {
-            let victim = (me + offset) % workers;
-            if let Some(range) = self.queues[victim]
-                .lock()
-                .expect("queue poisoned")
-                .pop_back()
-            {
-                return Some(range);
-            }
-        }
-        None
-    }
-}
-
 /// Captures the grid-order-first panic from worker closures so it can
 /// be resumed on the caller's thread with its original payload. All
 /// items still run (never stopping early keeps the chosen panic a pure
@@ -207,10 +152,11 @@ impl FirstPanic {
 /// on exactly `min(jobs, n)` workers, so a run holds O(workers) state,
 /// never O(items). Returns the accumulators in worker order.
 ///
-/// Indices arrive in ascending order *within* a contiguous chunk, but
-/// chunks interleave under stealing, so deterministic aggregation
-/// requires folds that commute across chunks (sums, histograms,
-/// per-index slots or spill files).
+/// Workers claim indices one at a time from a shared counter, so the
+/// claims run in ascending grid order and each worker sees ascending
+/// indices. Which worker gets which index depends on timing, so
+/// deterministic aggregation requires folds that commute across workers
+/// (sums, histograms, per-index slots or a grid-order writer).
 ///
 /// # Panics
 ///
@@ -236,27 +182,31 @@ where
         return vec![acc];
     }
 
-    let queues = ChunkQueues::deal(n, workers);
+    let next = AtomicUsize::new(0);
     let first_panic = FirstPanic::default();
     let accs: Vec<Mutex<Option<A>>> = (0..workers).map(|_| Mutex::new(None)).collect();
 
     std::thread::scope(|scope| {
         for me in 0..workers {
-            let queues = &queues;
+            let next = &next;
             let accs = &accs;
             let new_acc = &new_acc;
             let fold = &fold;
             let first_panic = &first_panic;
             scope.spawn(move || {
                 let mut acc = new_acc(me);
-                while let Some(range) = queues.claim(me) {
-                    for i in range {
-                        // Catch per index so a panicking fold surfaces
-                        // with its own payload (not a poisoned-mutex or
-                        // generic scope panic) after every worker stops.
-                        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| fold(&mut acc, i))) {
-                            first_panic.record(i, payload);
-                        }
+                loop {
+                    // Relaxed: the counter only hands out indices; the
+                    // scope's join publishes what the folds computed.
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
+                    }
+                    // Catch per index so a panicking fold surfaces with
+                    // its own payload (not a poisoned-mutex or generic
+                    // scope panic) after every worker stops.
+                    if let Err(payload) = catch_unwind(AssertUnwindSafe(|| fold(&mut acc, i))) {
+                        first_panic.record(i, payload);
                     }
                 }
                 *accs[me].lock().expect("acc slot poisoned") = Some(acc);
@@ -564,7 +514,7 @@ impl CampaignGrid {
             })
             .map_err(|e| match e {
                 StreamError::Hv(e) => e,
-                other => unreachable!("a collecting run neither spills nor cancels: {other}"),
+                other => unreachable!("a collecting run neither writes nor cancels: {other}"),
             })?;
         let mut cells: Vec<(usize, CellResult)> = consumers.into_iter().flat_map(|c| c.0).collect();
         cells.sort_unstable_by_key(|(index, _)| *index);
@@ -589,10 +539,11 @@ impl CampaignGrid {
     /// that do run produce bytes identical to an uninterrupted run for
     /// any worker count.
     ///
-    /// Consumers observe cells in their worker's scheduling order;
+    /// Cells start in ascending grid order, but they finish, and reach
+    /// their worker's consumer, in whatever order their run times give;
     /// deterministic output therefore needs order-insensitive folds
-    /// (mergeable sketches, per-index slots or spill shards) — what
-    /// [`streamref`](crate::streamref) provides. The returned consumers
+    /// (mergeable sketches, per-index slots or a grid-order writer) —
+    /// what [`streamref`](crate::streamref) provides. The returned consumers
     /// are in worker order.
     ///
     /// # Errors
@@ -722,18 +673,18 @@ pub trait CellConsumer {
     ///
     /// # Errors
     ///
-    /// Spill I/O failures; the run reports the grid-order-first one.
+    /// Output I/O failures; the run reports the grid-order-first one.
     fn consume(&mut self, index: usize, result: CellResult) -> std::io::Result<Option<TraceSink>>;
 }
 
 /// A streaming run's failure: the cell computation itself
-/// ([`HvError`]), the consumer's spill I/O, or cooperative
+/// ([`HvError`]), the consumer's output I/O, or cooperative
 /// cancellation.
 #[derive(Debug)]
 pub enum StreamError {
     /// A cell failed the way [`CampaignGrid::run`] can fail.
     Hv(HvError),
-    /// A consumer failed to spill or merge its shard output.
+    /// A consumer failed to write its output.
     Io(std::io::Error),
     /// A [`CancelToken`] stopped the run before this grid reached the
     /// cell; already-consumed cells are valid, the rest never ran.
@@ -744,7 +695,7 @@ impl std::fmt::Display for StreamError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             StreamError::Hv(e) => write!(f, "{e}"),
-            StreamError::Io(e) => write!(f, "stream spill I/O: {e}"),
+            StreamError::Io(e) => write!(f, "campaign output I/O: {e}"),
             StreamError::Cancelled => write!(f, "campaign run cancelled"),
         }
     }
@@ -782,7 +733,7 @@ mod tests {
         let items: Vec<u64> = (0..37).collect();
         let jobs = NonZeroUsize::new(4).unwrap();
         // The engine runs exactly 4 real workers even on a 1-CPU
-        // machine, so cross-thread stealing is actually exercised.
+        // machine, so cross-thread claiming is actually exercised.
         let out = parallel_map(items.clone(), jobs, |i, x| {
             assert_eq!(i as u64, x);
             x * 2
@@ -805,8 +756,9 @@ mod tests {
     fn work_stealing_survives_pathological_imbalance() {
         // Front-loaded cost: item 0 is ~3 orders of magnitude heavier
         // than the rest. A static split would strand worker 0's whole
-        // initial share behind it; stealing lets the other workers
-        // drain it, and the output must stay in input order either way.
+        // initial share behind it; in-order claiming lets the other
+        // workers drain the rest, and the output must stay in input
+        // order either way.
         let items: Vec<u64> = (0..64).collect();
         let out = parallel_map(items, NonZeroUsize::new(4).unwrap(), |i, x| {
             let spins = if i == 0 { 2_000_000 } else { 2_000 };
@@ -822,23 +774,49 @@ mod tests {
     }
 
     #[test]
-    fn chunks_cover_every_index_without_overlap() {
-        for n in [1usize, 2, 5, 16, 37, 100] {
-            for workers in [1usize, 2, 4, 8] {
-                let chunk = chunk_len(n, workers);
-                assert!(chunk >= 1);
-                // Reconstruct the dealing loop and check coverage.
-                let mut seen = vec![false; n];
-                let mut start = 0;
-                while start < n {
-                    let end = (start + chunk).min(n);
-                    for (i, slot) in seen.iter_mut().enumerate().take(end).skip(start) {
-                        assert!(!*slot, "index {i} dealt twice (n={n}, w={workers})");
-                        *slot = true;
+    fn cells_are_claimed_in_ascending_grid_order() {
+        let n = 200usize;
+        for jobs in [1usize, 2, 8] {
+            // The shared log records each index as its fold starts. The
+            // first `jobs` folds wait for each other, so every worker
+            // holds a cell at once before any claims a second.
+            let log = Mutex::new(Vec::new());
+            let all_started = std::sync::Barrier::new(jobs);
+            let accs = parallel_reduce_indexed(
+                n,
+                NonZeroUsize::new(jobs).unwrap(),
+                |_| Vec::new(),
+                |mine: &mut Vec<usize>, i| {
+                    log.lock().unwrap().push(i);
+                    mine.push(i);
+                    if i < jobs {
+                        all_started.wait();
                     }
-                    start = end;
-                }
-                assert!(seen.iter().all(|&s| s), "coverage gap (n={n}, w={workers})");
+                },
+            );
+            assert_eq!(accs.len(), jobs);
+            for mine in &accs {
+                assert!(
+                    mine.windows(2).all(|w| w[0] < w[1]),
+                    "a worker's indices must ascend at {jobs} workers: {mine:?}"
+                );
+            }
+            // Claims come off one counter in ascending order; only the
+            // other workers' claims, not yet logged, can sit between a
+            // claim and its log entry. So index i is logged no earlier
+            // than position i - (jobs - 1).
+            let log = log.into_inner().unwrap();
+            for (position, &i) in log.iter().enumerate() {
+                assert!(
+                    i < position + jobs,
+                    "index {i} started at position {position} with {jobs} workers"
+                );
+            }
+            let mut sorted = log.clone();
+            sorted.sort_unstable();
+            assert_eq!(sorted, (0..n).collect::<Vec<_>>());
+            if jobs == 1 {
+                assert_eq!(log, sorted, "one worker runs the grid in order");
             }
         }
     }

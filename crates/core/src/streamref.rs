@@ -1,39 +1,37 @@
-//! Streaming campaign reducers: bounded-memory aggregation and
-//! grid-order shard spill/merge.
+//! Streaming campaign reducers: bounded-memory aggregation and the
+//! grid-order writer.
 //!
 //! A 10⁵–10⁶-cell campaign (Table-3-style sweeps at production scale)
 //! cannot hold every [`CellResult`] and trace arena in RAM. This module
-//! supplies the per-worker state that
+//! supplies what
 //! [`CampaignGrid::run_streamed_resume`](crate::parallel::CampaignGrid::run_streamed_resume)
-//! folds finished cells into:
+//! consumers fold finished cells into:
 //!
 //! * [`CampaignAggregate`] — success counts, flip histograms and
 //!   per-stage time quantiles via [`QuantileSketch`], a deterministic
 //!   mergeable sketch. Every field is a commutative sum, so merging the
 //!   per-worker aggregates yields the same totals no matter how the
 //!   scheduler partitioned the grid.
-//! * [`ShardWriter`] — spills each cell's serialized NDJSON record to
-//!   disk as the cell finishes. A worker's consecutive indices go to
-//!   one shard file, so every shard is a sorted contiguous index run;
-//!   [`merge_shards`] concatenates the runs in grid order, producing
-//!   output byte-identical to serializing an in-memory run — for any
-//!   `--jobs`, because each cell's bytes are a pure function of the
-//!   cell.
+//! * [`GridWriter`] — writes each cell's serialized NDJSON (a record,
+//!   or its trace lines) as soon as every older cell has been written,
+//!   so output leaves in grid order while the run is still going. The
+//!   bytes equal serializing an in-memory run, for any `--jobs`,
+//!   because each cell's bytes are a pure function of the cell.
 //!
-//! The memory story: a streaming run holds O(workers) aggregates, one
-//! open spill file per [`ShardWriter`], and one recycled trace arena
-//! per worker — never a whole-campaign buffer.
+//! The memory story: a streaming run holds O(workers) aggregates, the
+//! few payloads a [`GridWriter`] parks behind a still-running older
+//! cell, and one recycled trace arena per worker — never a
+//! whole-campaign buffer.
 
-use std::fs::File;
-use std::io::{self, BufWriter, Read, Write};
-use std::path::{Path, PathBuf};
+use std::collections::BTreeMap;
+use std::io::{self, Write};
 
 use hh_sim::json::quote;
-use hh_trace::{Counter, Stage, TraceSink};
+use hh_trace::{Counter, Stage};
 
 use crate::driver::AttemptOutcome;
 use crate::machine::AttackVariant;
-use crate::parallel::{CellConsumer, CellResult};
+use crate::parallel::CellResult;
 
 /// A deterministic, mergeable quantile sketch over `u64` samples.
 ///
@@ -116,8 +114,8 @@ impl QuantileSketch {
     }
 }
 
-/// Incremental whole-campaign aggregate: what the streaming path can
-/// still report once per-cell results are spilled to disk.
+/// Incremental whole-campaign aggregate: what a streaming run can still
+/// report once per-cell results have been written out.
 ///
 /// Built per worker, merged across workers — every field is a
 /// commutative, associative fold of per-cell contributions, so the
@@ -270,227 +268,93 @@ impl VariantRow {
     }
 }
 
-/// One spill file: a contiguous run of grid indices starting at
-/// `start`, `count` cells long.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardInfo {
-    /// First grid index in the file.
-    pub start: usize,
-    /// Number of cells the file covers.
-    pub count: usize,
-    /// The file's path.
-    pub path: PathBuf,
-}
-
-/// Spills per-cell NDJSON payloads to sorted shard files.
+/// Writes per-cell payloads in grid order as the grid prefix completes.
 ///
-/// Workers receive ascending indices within each work-stealing chunk;
-/// whenever the next index is not `previous + 1` the writer closes the
-/// current shard and opens a new one named after the run's start index.
-/// Every shard is therefore a sorted, contiguous, disjoint index run,
-/// and [`merge_shards`] restores full grid order by concatenation.
+/// Workers finish cells out of order. [`put`](Self::put) writes a
+/// payload straight through when its index is the next one in grid
+/// order, then drains every parked successor; any other payload waits in
+/// `pending`. The engine hands cells out in ascending grid order (see
+/// [`parallel_reduce_indexed`](crate::parallel::parallel_reduce_indexed)),
+/// so only cells that finished while an older cell was still running
+/// wait — about one per worker, never the whole grid. Because each
+/// payload is a pure function of its cell, the bytes equal serializing
+/// an in-memory run in grid order, for any `--jobs`.
 #[derive(Debug)]
-pub struct ShardWriter {
-    dir: PathBuf,
-    prefix: String,
-    current: Option<(BufWriter<File>, usize)>,
-    shards: Vec<ShardInfo>,
+pub struct GridWriter<W> {
+    out: W,
+    next: usize,
+    pending: BTreeMap<usize, String>,
 }
 
-impl ShardWriter {
-    /// Creates a writer spilling `prefix`-named shards into `dir`
-    /// (which must exist).
-    pub fn new(dir: &Path, prefix: &str) -> Self {
+impl<W: Write> GridWriter<W> {
+    /// A writer whose first payload is cell 0's.
+    pub fn new(out: W) -> Self {
         Self {
-            dir: dir.to_path_buf(),
-            prefix: prefix.to_string(),
-            current: None,
-            shards: Vec::new(),
+            out,
+            next: 0,
+            pending: BTreeMap::new(),
         }
     }
 
-    /// Appends cell `index`'s payload (zero or more complete
+    /// Accepts cell `index`'s payload (zero or more complete
     /// newline-terminated lines).
     ///
     /// # Errors
     ///
-    /// Propagates spill I/O failures.
-    pub fn append(&mut self, index: usize, payload: &str) -> io::Result<()> {
-        let continues = matches!(self.current, Some((_, next)) if next == index);
-        if !continues {
-            self.finish_current()?;
-            let path = self
-                .dir
-                .join(format!("{}-{index:010}.ndjson.part", self.prefix));
-            self.shards.push(ShardInfo {
-                start: index,
-                count: 0,
-                path: path.clone(),
-            });
-            self.current = Some((BufWriter::new(File::create(path)?), index));
+    /// `InvalidData` when cell `index` was already put; otherwise the
+    /// sink's write failures.
+    pub fn put(&mut self, index: usize, payload: String) -> io::Result<()> {
+        let duplicate = || invalid(format!("cell {index} written twice"));
+        if index < self.next {
+            return Err(duplicate());
         }
-        let (writer, next) = self.current.as_mut().expect("opened above");
-        writer.write_all(payload.as_bytes())?;
-        *next = index + 1;
-        let shard = self.shards.last_mut().expect("pushed above");
-        shard.count = index + 1 - shard.start;
-        Ok(())
-    }
-
-    /// Flushes and closes the open shard, if any.
-    fn finish_current(&mut self) -> io::Result<()> {
-        if let Some((writer, _)) = self.current.take() {
-            writer.into_inner().map_err(io::Error::other)?.sync_all()?;
+        if index > self.next {
+            return match self.pending.insert(index, payload) {
+                Some(_) => Err(duplicate()),
+                None => Ok(()),
+            };
+        }
+        self.out.write_all(payload.as_bytes())?;
+        self.next += 1;
+        while let Some(parked) = self.pending.remove(&self.next) {
+            self.out.write_all(parked.as_bytes())?;
+            self.next += 1;
         }
         Ok(())
     }
 
-    /// Finishes writing and returns the shard manifest.
+    /// Payloads parked behind a cell that has not arrived yet.
+    pub fn pending(&self) -> usize {
+        self.pending.len()
+    }
+
+    /// Checks that exactly the cells `0..cells` were put — no gap, no
+    /// overlap — then flushes and returns the sink.
     ///
     /// # Errors
     ///
-    /// Propagates the final flush's I/O failure.
-    pub fn finish(mut self) -> io::Result<Vec<ShardInfo>> {
-        self.finish_current()?;
-        Ok(self.shards)
-    }
-}
-
-/// Concatenates shards in grid order into `out`, verifying that they
-/// tile `0..cells` exactly, and deletes each spill file once copied.
-///
-/// # Errors
-///
-/// `InvalidData` when the shards overlap or leave coverage gaps
-/// (a worker died or a manifest is stale); otherwise I/O failures.
-pub fn merge_shards(
-    mut shards: Vec<ShardInfo>,
-    cells: usize,
-    out: &mut impl Write,
-) -> io::Result<()> {
-    shards.sort_by_key(|s| s.start);
-    let mut next = 0usize;
-    for shard in &shards {
-        if shard.start != next {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "shard coverage broken at cell {next}: next shard starts at {} ({})",
-                    shard.start,
-                    shard.path.display()
-                ),
-            ));
+    /// `InvalidData` on a coverage gap or a cell beyond the grid;
+    /// otherwise the final flush's failure.
+    pub fn finish(mut self, cells: usize) -> io::Result<W> {
+        if let Some(&parked) = self.pending.keys().next() {
+            return Err(invalid(format!(
+                "cell {} never arrived (cell {parked} waits behind it)",
+                self.next
+            )));
         }
-        next += shard.count;
-    }
-    if next != cells {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("shards cover {next} cells, grid has {cells}"),
-        ));
-    }
-    let mut buf = [0u8; 64 * 1024];
-    for shard in &shards {
-        let mut file = File::open(&shard.path)?;
-        loop {
-            let n = file.read(&mut buf)?;
-            if n == 0 {
-                break;
-            }
-            out.write_all(&buf[..n])?;
+        if self.next != cells {
+            return Err(invalid(format!(
+                "{} cells written, grid has {cells}",
+                self.next
+            )));
         }
-        std::fs::remove_file(&shard.path)?;
-    }
-    out.flush()
-}
-
-/// The standard streaming consumer: folds every cell into a
-/// [`CampaignAggregate`], spills the cell's NDJSON record (and,
-/// when tracing, its event lines) to shards, and hands the spent trace
-/// sink back for arena reuse.
-///
-/// `fmt_cell` and `fmt_trace` append complete newline-terminated lines
-/// for one cell; they must be pure functions of the [`CellResult`] so
-/// shard contents stay scheduling-independent.
-pub struct CampaignStreamer<FC, FT> {
-    aggregate: CampaignAggregate,
-    cells: ShardWriter,
-    traces: Option<ShardWriter>,
-    fmt_cell: FC,
-    fmt_trace: FT,
-    line: String,
-}
-
-impl<FC, FT> std::fmt::Debug for CampaignStreamer<FC, FT> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CampaignStreamer")
-            .field("aggregate", &self.aggregate)
-            .field("cells", &self.cells)
-            .field("traces", &self.traces)
-            .finish_non_exhaustive()
+        self.out.flush()?;
+        Ok(self.out)
     }
 }
 
-impl<FC, FT> CampaignStreamer<FC, FT>
-where
-    FC: Fn(&CellResult, &mut String),
-    FT: Fn(&CellResult, &mut String),
-{
-    /// Creates worker `worker`'s streamer, spilling into `dir`. Pass
-    /// `with_traces = true` to spill per-event trace lines alongside
-    /// the cell records.
-    pub fn new(dir: &Path, worker: usize, with_traces: bool, fmt_cell: FC, fmt_trace: FT) -> Self {
-        // Worker id in the prefix keeps two workers from ever opening
-        // the same spill file; merge order is by start index alone, so
-        // the rest of the name is free.
-        Self {
-            aggregate: CampaignAggregate::default(),
-            cells: ShardWriter::new(dir, &format!("cells-w{worker}")),
-            traces: with_traces.then(|| ShardWriter::new(dir, &format!("trace-w{worker}"))),
-            fmt_cell,
-            fmt_trace,
-            line: String::new(),
-        }
-    }
-
-    /// The worker's aggregate so far.
-    pub const fn aggregate(&self) -> &CampaignAggregate {
-        &self.aggregate
-    }
-
-    /// Finishes spilling; returns the aggregate plus the cell-record
-    /// and trace shard manifests.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the final flush's I/O failure.
-    pub fn finish(self) -> io::Result<(CampaignAggregate, Vec<ShardInfo>, Vec<ShardInfo>)> {
-        let cells = self.cells.finish()?;
-        let traces = match self.traces {
-            Some(w) => w.finish()?,
-            None => Vec::new(),
-        };
-        Ok((self.aggregate, cells, traces))
-    }
-}
-
-impl<FC, FT> CellConsumer for CampaignStreamer<FC, FT>
-where
-    FC: Fn(&CellResult, &mut String),
-    FT: Fn(&CellResult, &mut String),
-{
-    fn consume(&mut self, index: usize, mut result: CellResult) -> io::Result<Option<TraceSink>> {
-        self.aggregate.observe(&result);
-        self.line.clear();
-        (self.fmt_cell)(&result, &mut self.line);
-        self.cells.append(index, &self.line)?;
-        if let Some(traces) = &mut self.traces {
-            self.line.clear();
-            (self.fmt_trace)(&result, &mut self.line);
-            traces.append(index, &self.line)?;
-        }
-        Ok(result.trace.take())
-    }
+fn invalid(msg: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
 #[cfg(test)]
@@ -561,54 +425,59 @@ mod tests {
         assert_eq!(merged, whole);
     }
 
-    #[test]
-    fn shard_writer_splits_on_noncontiguous_indices() {
-        let dir = std::env::temp_dir().join(format!("hh-shards-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let mut w = ShardWriter::new(&dir, "cells");
-        // Two contiguous runs: 0..3 and 7..9 (a stolen chunk).
-        for i in 0..3 {
-            w.append(i, &format!("cell {i}\n")).unwrap();
-        }
-        for i in 7..9 {
-            w.append(i, &format!("cell {i}\n")).unwrap();
-        }
-        let shards = w.finish().unwrap();
-        assert_eq!(shards.len(), 2);
-        assert_eq!((shards[0].start, shards[0].count), (0, 3));
-        assert_eq!((shards[1].start, shards[1].count), (7, 2));
-
-        // Fill the gap from a "second worker" and merge.
-        let mut w2 = ShardWriter::new(&dir, "cells");
-        for i in 3..7 {
-            w2.append(i, &format!("cell {i}\n")).unwrap();
-        }
-        let mut all = shards;
-        all.extend(w2.finish().unwrap());
-        let mut out = Vec::new();
-        merge_shards(all, 9, &mut out).unwrap();
-        let expected: String = (0..9).map(|i| format!("cell {i}\n")).collect();
-        assert_eq!(String::from_utf8(out).unwrap(), expected);
-        std::fs::remove_dir_all(&dir).unwrap();
+    fn lines(cells: impl IntoIterator<Item = usize>) -> String {
+        cells.into_iter().map(|i| format!("cell {i}\n")).collect()
     }
 
     #[test]
-    fn merge_rejects_gaps_and_overlaps() {
-        let gap = vec![ShardInfo {
-            start: 1,
-            count: 2,
-            path: PathBuf::from("/nonexistent"),
-        }];
-        assert!(merge_shards(gap, 3, &mut Vec::new()).is_err());
-        let short = vec![ShardInfo {
-            start: 0,
-            count: 2,
-            path: PathBuf::from("/nonexistent"),
-        }];
-        assert!(merge_shards(short, 3, &mut Vec::new()).is_err());
-        // Empty grid: zero shards merge to zero bytes.
-        let mut out = Vec::new();
-        merge_shards(Vec::new(), 0, &mut out).unwrap();
-        assert!(out.is_empty());
+    fn grid_writer_emits_shuffled_puts_in_grid_order() {
+        let mut w = GridWriter::new(Vec::new());
+        for i in [3usize, 0, 8, 1, 2, 7, 5, 4, 6] {
+            w.put(i, format!("cell {i}\n")).unwrap();
+        }
+        assert_eq!(w.pending(), 0);
+        let out = w.finish(9).unwrap();
+        assert_eq!(String::from_utf8(out).unwrap(), lines(0..9));
+    }
+
+    #[test]
+    fn in_order_puts_park_nothing() {
+        let mut w = GridWriter::new(Vec::new());
+        for i in 0..5 {
+            w.put(i, format!("cell {i}\n")).unwrap();
+            assert_eq!(w.pending(), 0, "cell {i} was parked");
+        }
+        // A cell may carry no lines at all (an untraced cell's trace).
+        w.put(5, String::new()).unwrap();
+        assert_eq!(
+            String::from_utf8(w.finish(6).unwrap()).unwrap(),
+            lines(0..5)
+        );
+    }
+
+    #[test]
+    fn grid_writer_rejects_gaps_and_duplicates() {
+        // Cell 1 never arrives: cell 2 stays parked.
+        let mut gap = GridWriter::new(Vec::new());
+        gap.put(0, "a\n".into()).unwrap();
+        gap.put(2, "c\n".into()).unwrap();
+        assert_eq!(gap.pending(), 1);
+        assert!(gap.finish(3).is_err());
+        // A prefix short of the grid is a gap at the end.
+        let mut short = GridWriter::new(Vec::new());
+        short.put(0, "a\n".into()).unwrap();
+        assert!(short.finish(2).is_err());
+        // Written and parked cells alike refuse a second copy.
+        let mut dup = GridWriter::new(Vec::new());
+        dup.put(0, "a\n".into()).unwrap();
+        assert!(dup.put(0, "a\n".into()).is_err());
+        dup.put(2, "c\n".into()).unwrap();
+        assert!(dup.put(2, "c\n".into()).is_err());
+        // A cell beyond the grid is no cover either.
+        let mut over = GridWriter::new(Vec::new());
+        over.put(0, "a\n".into()).unwrap();
+        assert!(over.finish(0).is_err());
+        // Empty grid: nothing put, nothing written.
+        assert!(GridWriter::new(Vec::new()).finish(0).unwrap().is_empty());
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! A std-only campaign server: a hand-rolled HTTP/1.1 listener (module
 //! [`http`]) in front of a priority job queue feeding the core crate's
-//! work-stealing campaign runner, with per-scenario
+//! in-order parallel campaign runner, with per-scenario
 //! [`MachineTemplate`]s kept warm in a shared cache so repeat jobs skip
 //! the cold host-profiling setup the CLI pays on every invocation.
 //!
@@ -372,7 +372,7 @@ impl CellConsumer for LineSink {
 }
 
 /// The campaign engine: a priority job queue, a single runner thread
-/// fanning each job out over the work-stealing pool, and a process-wide
+/// fanning each job out over the in-order worker pool, and a process-wide
 /// warm template cache. All methods take `&self`; share it in an
 /// [`Arc`].
 #[derive(Debug)]

@@ -178,7 +178,7 @@ stage_chaos() {
 
 stage_scaling_sanity() {
     stage scaling-sanity
-    # The work-stealing engine's whole point: more workers must never
+    # The parallel engine's whole point: more workers must never
     # make a campaign slower (the static-split engine was ~24% slower at
     # 4 workers than serial on a 1-CPU host). Run an 8-cell tiny grid at
     # 1/2/4/8 workers, require the 4-worker run to be no slower than
@@ -211,6 +211,7 @@ stage_scaling_sanity() {
     else
         echo "scaling-sanity: $ncpus CPU(s) — skipping the >=1.5x speedup" \
             "check (effective workers are clamped to the CPU count)"
+        STAGE_NOTE="skipped the >=1.5x speedup check: $ncpus CPU(s) < 4"
     fi
     echo "scaling-sanity: 4 workers no slower than serial; traces" \
         "byte-identical across --jobs 1/2/4/8"
@@ -218,11 +219,12 @@ stage_scaling_sanity() {
 
 stage_memory_cap() {
     stage memory-cap
-    # The streaming campaign path promises O(workers) memory: peak RSS
-    # (VmHWM, reported on stderr) of a 4096-cell micro campaign must
-    # stay within 2x of a 64-cell run at the same --jobs, and the
-    # merged streaming NDJSON must be byte-identical to the in-memory
-    # --json output at 1/2/8 workers.
+    # Every campaign streams its output in grid order, so memory is
+    # O(workers): peak RSS (VmHWM, reported on stderr) of a 4096-cell
+    # --stream-out micro campaign must stay within 2x of a 64-cell run
+    # at the same --jobs, and so must a 256-cell traced --json run
+    # against a 64-cell one. The --stream-out cells.ndjson must be
+    # byte-identical to the plain --json output at 1/2/8 workers.
     local tmpdir cells rss_small rss_large
     tmpdir="$(mktemp -d)"
     # shellcheck disable=SC2064  # expand tmpdir now, not at trap time
@@ -249,7 +251,31 @@ stage_memory_cap() {
         return 1
     fi
 
-    # Byte-identity: in-memory --json vs the streamed merge, 1/2/8 workers.
+    # The traced default path: each cell's trace lines leave as the
+    # grid prefix completes instead of piling up until the end.
+    for cells in 64 256; do
+        echo "==> campaign --json --trace --jobs 2 (${cells}-cell micro grid)"
+        ./target/release/hyperhammer-sim \
+            campaign --scenarios micro --seeds "$cells" --attempts 2 --bits 4 \
+            --jobs 2 --json --trace "$tmpdir/trace_${cells}.ndjson" \
+            >/dev/null 2>"$tmpdir/rss_traced_${cells}.txt"
+        cat "$tmpdir/rss_traced_${cells}.txt"
+        rm -f "$tmpdir/trace_${cells}.ndjson"
+    done
+    local traced_small traced_large
+    traced_small=$(sed -n 's/^campaign: peak RSS \([0-9]*\) KiB$/\1/p' "$tmpdir/rss_traced_64.txt")
+    traced_large=$(sed -n 's/^campaign: peak RSS \([0-9]*\) KiB$/\1/p' "$tmpdir/rss_traced_256.txt")
+    if [ -z "$traced_small" ] || [ -z "$traced_large" ]; then
+        echo "memory-cap: peak RSS report missing from traced campaign stderr" >&2
+        return 1
+    fi
+    if [ "$traced_large" -gt $((traced_small * 2)) ]; then
+        echo "memory-cap: traced peak RSS grew with cell count:" \
+            "${traced_small} KiB @ 64 cells -> ${traced_large} KiB @ 256 cells" >&2
+        return 1
+    fi
+
+    # Byte-identity: plain --json vs the --stream-out file, 1/2/8 workers.
     # --json emits pure NDJSON (the human banner only prints without it).
     ./target/release/hyperhammer-sim \
         campaign --scenarios micro --seeds 16 --attempts 2 --bits 4 \
@@ -257,7 +283,8 @@ stage_memory_cap() {
     same_bytes_across_jobs "$tmpdir" "1 2 8" "eq_@J/cells.ndjson" "$tmpdir/inmem_cells.ndjson" 0 \
         --scenarios micro --seeds 16 --attempts 2 --bits 4 --json --stream-out "@D/eq_@J"
     echo "memory-cap: 4096-cell streaming peaked at ${rss_large} KiB" \
-        "(64-cell: ${rss_small} KiB); merged output byte-identical at --jobs 1/2/8"
+        "(64-cell: ${rss_small} KiB); 256-cell traced at ${traced_large} KiB" \
+        "(64-cell: ${traced_small} KiB); streamed output byte-identical at --jobs 1/2/8"
 }
 
 stage_server_smoke() {
@@ -432,8 +459,11 @@ else
     STAGES=("${ALL_STAGES[@]}")
 fi
 
+# A stage may set STAGE_NOTE to say what it skipped; the note follows
+# its line in the wall-clock summary.
 STAGE_SUMMARY=()
 for name in "${STAGES[@]}"; do
+    STAGE_NOTE=""
     stage_t0=$(date +%s%N)
     case "$name" in
         build) stage_build ;;
@@ -456,7 +486,8 @@ for name in "${STAGES[@]}"; do
             ;;
     esac
     stage_t1=$(date +%s%N)
-    STAGE_SUMMARY+=("$(printf '%-20s %7d ms' "$name" $(((stage_t1 - stage_t0) / 1000000)))")
+    STAGE_SUMMARY+=("$(printf '%-20s %7d ms%s' "$name" $(((stage_t1 - stage_t0) / 1000000)) \
+        "${STAGE_NOTE:+  ($STAGE_NOTE)}")")
 done
 
 echo

@@ -6,7 +6,7 @@ use hh_dram::patterns::{find_effective_pattern, PatternKind};
 use hh_dram::{DimmProfile, DramDevice};
 use hh_hv::HvError;
 use hh_sim::addr::HUGE_PAGE_SIZE;
-use hyperhammer::driver::{AttackDriver, DriverParams};
+use hyperhammer::driver::{AttackDriver, AttemptOutcome, DriverParams};
 use hyperhammer::machine::Scenario;
 use hyperhammer::profile::Profiler;
 use hyperhammer::steering::PageSteering;
@@ -58,6 +58,47 @@ fn quarantine_defeats_the_full_campaign() {
         Ok(record) => panic!("attack proceeded under quarantine: {record:?}"),
         Err(e) => panic!("unexpected error {e}"),
     }
+}
+
+/// The campaign driver records a quarantine NACK as a blocked attempt
+/// rather than aborting: a hardened campaign runs its whole budget,
+/// every attempt blocked, and hands every page back.
+#[test]
+fn hardened_campaign_records_blocked_attempts() {
+    let hardened = Scenario::tiny_demo().with_quarantine();
+    let mut host = hardened.boot_host();
+    let driver = AttackDriver::new(DriverParams {
+        bits_per_attempt: 4,
+        ..DriverParams::paper()
+    });
+    let mut vm = host.create_vm(hardened.vm_config()).unwrap();
+    let catalog = driver
+        .profile_and_catalog(&mut host, &mut vm, hardened.profile_params())
+        .unwrap();
+    vm.destroy(&mut host);
+    assert!(
+        !catalog.entries.is_empty(),
+        "no catalogued bits — nothing reaches the release step"
+    );
+
+    let free_before = host.buddy().free_pages();
+    let stats = driver.campaign(&hardened, &mut host, &catalog, 3).unwrap();
+    assert_eq!(stats.attempts.len(), 3);
+    for attempt in &stats.attempts {
+        assert!(
+            matches!(
+                attempt.outcome,
+                AttemptOutcome::Blocked(HvError::QuarantineNack { .. })
+            ),
+            "got {:?}",
+            attempt.outcome
+        );
+        assert!(!attempt.outcome.is_success());
+        assert!(attempt.duration.as_nanos() > 0);
+    }
+    assert_eq!(stats.first_success(), None);
+    // Only the campaign's planted witness page stays allocated.
+    assert_eq!(host.buddy().free_pages() + 1, free_before);
 }
 
 /// Legitimate cooperative resizing keeps working under the quarantine.

@@ -44,6 +44,9 @@ fn full_pipeline_runs_and_accounts_consistently() {
             AttemptOutcome::Aborted(e) => {
                 panic!("faults are off in this scenario, yet an attempt aborted: {e}");
             }
+            AttemptOutcome::Blocked(e) => {
+                panic!("the quarantine is off in this scenario, yet an attempt was blocked: {e}");
+            }
             AttemptOutcome::PteCorrupted(_) | AttemptOutcome::Steered { .. } => {
                 panic!(
                     "default-variant campaigns never produce variant-specific \

@@ -81,7 +81,7 @@ fn variant_grid_matches_serial() {
 }
 
 /// `parallel_map` keeps input order under worker counts both below and
-/// above the item count, with work-stealing in between.
+/// above the item count, with in-order claiming in between.
 #[test]
 fn parallel_map_order_is_stable() {
     let items: Vec<usize> = (0..64).collect();

@@ -1,20 +1,22 @@
-//! Streaming equivalence (satellite of the bounded-memory PR): the
-//! spill-shard streaming path must be byte-identical to serializing an
+//! Streaming equivalence: writing each cell through the grid-order
+//! writer as it finishes must be byte-identical to serializing an
 //! in-memory run — for every worker count, with and without tracing,
 //! and including the awkward shapes (empty grid, one cell, more
 //! workers than cells, faulted campaigns with aborted attempts).
 
 use std::fmt::Write as _;
+use std::io;
 use std::num::NonZeroUsize;
-use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 
 use hh_hv::FaultConfig;
 use hh_trace::TraceMode;
+use hh_trace::TraceSink;
 use hyperhammer::driver::{AttemptOutcome, DriverParams};
 use hyperhammer::machine::Scenario;
-use hyperhammer::parallel::{CampaignGrid, CellResult, StreamError};
+use hyperhammer::parallel::{CampaignGrid, CellConsumer, CellResult, StreamError};
 use hyperhammer::steering::RetryPolicy;
-use hyperhammer::streamref::{merge_shards, CampaignAggregate, CampaignStreamer};
+use hyperhammer::streamref::{CampaignAggregate, GridWriter};
 use hyperhammer::{CancelToken, MachineTemplate};
 
 /// The formatters must be pure functions of the cell; `Debug` of the
@@ -35,8 +37,6 @@ fn fmt_trace(result: &CellResult, out: &mut String) {
         }
     }
 }
-
-type Fmt = fn(&CellResult, &mut String);
 
 /// Everything the two paths must agree on.
 #[derive(Debug, PartialEq)]
@@ -63,61 +63,61 @@ fn in_memory(grid: &CampaignGrid) -> Result<Output, StreamError> {
     Ok(out)
 }
 
+/// One worker's consumer: folds the aggregate and sends the cell's
+/// record (and, when tracing, its event lines) through the shared
+/// grid-order writers.
+struct Streamer<'a> {
+    aggregate: CampaignAggregate,
+    cells: &'a Mutex<GridWriter<Vec<u8>>>,
+    traces: Option<&'a Mutex<GridWriter<Vec<u8>>>>,
+}
+
+impl CellConsumer for Streamer<'_> {
+    fn consume(&mut self, index: usize, mut result: CellResult) -> io::Result<Option<TraceSink>> {
+        self.aggregate.observe(&result);
+        let mut line = String::new();
+        fmt_cell(&result, &mut line);
+        self.cells.lock().unwrap().put(index, line)?;
+        if let Some(traces) = self.traces {
+            let mut lines = String::new();
+            fmt_trace(&result, &mut lines);
+            traces.lock().unwrap().put(index, lines)?;
+        }
+        Ok(result.trace.take())
+    }
+}
+
 /// The streaming path: exactly `jobs` OS threads (the engine never
-/// clamps), per-worker spill shards, grid-order merge.
-fn streamed(
-    grid: &CampaignGrid,
-    jobs: usize,
-    with_traces: bool,
-    dir: &Path,
-) -> Result<Output, StreamError> {
+/// clamps), every cell written through the grid-order writers as it
+/// finishes.
+fn streamed(grid: &CampaignGrid, jobs: usize, with_traces: bool) -> Result<Output, StreamError> {
     let templates = grid.scenario_templates();
     let refs: Vec<&MachineTemplate> = templates.iter().collect();
+    let cells = Mutex::new(GridWriter::new(Vec::new()));
+    let traces = Mutex::new(GridWriter::new(Vec::new()));
     let consumers = grid.run_streamed_resume(
         NonZeroUsize::new(jobs).expect("non-zero jobs"),
         &refs,
         &CancelToken::new(),
         &|_| false,
-        |worker| CampaignStreamer::new(dir, worker, with_traces, fmt_cell as Fmt, fmt_trace as Fmt),
+        |_| Streamer {
+            aggregate: CampaignAggregate::default(),
+            cells: &cells,
+            traces: with_traces.then_some(&traces),
+        },
     )?;
-    let mut aggregates = Vec::new();
-    let mut cell_shards = Vec::new();
-    let mut trace_shards = Vec::new();
-    for consumer in consumers {
-        let (aggregate, cells, traces) = consumer.finish().expect("spill flush");
-        aggregates.push(aggregate);
-        cell_shards.extend(cells);
-        trace_shards.extend(traces);
-    }
-    let mut cells = Vec::new();
-    merge_shards(cell_shards, grid.len(), &mut cells).expect("cell shards tile the grid");
-    let mut traces = Vec::new();
-    if with_traces {
-        merge_shards(trace_shards, grid.len(), &mut traces).expect("trace shards tile the grid");
-    }
+    let aggregates: Vec<CampaignAggregate> = consumers.into_iter().map(|c| c.aggregate).collect();
+    let cells = cells.into_inner().unwrap().finish(grid.len())?;
+    let traces = if with_traces {
+        traces.into_inner().unwrap().finish(grid.len())?
+    } else {
+        Vec::new()
+    };
     Ok(Output {
-        cells: String::from_utf8(cells).expect("shards hold UTF-8 lines"),
-        traces: String::from_utf8(traces).expect("shards hold UTF-8 lines"),
+        cells: String::from_utf8(cells).expect("cells are UTF-8 lines"),
+        traces: String::from_utf8(traces).expect("traces are UTF-8 lines"),
         aggregate: CampaignAggregate::merged(&aggregates),
     })
-}
-
-/// A scratch dir under the system temp root, removed on drop so failed
-/// assertions don't strand spill files across runs.
-struct ScratchDir(PathBuf);
-
-impl ScratchDir {
-    fn new(tag: &str) -> Self {
-        let dir = std::env::temp_dir().join(format!("hh-stream-eq-{}-{tag}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("create scratch dir");
-        Self(dir)
-    }
-}
-
-impl Drop for ScratchDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
 }
 
 fn micro_grid(cells: usize, trace: TraceMode) -> CampaignGrid {
@@ -136,8 +136,7 @@ fn micro_grid(cells: usize, trace: TraceMode) -> CampaignGrid {
 fn assert_equivalent(grid: &CampaignGrid, with_traces: bool, tag: &str) {
     let reference = in_memory(grid).expect("reference grid runs");
     for jobs in [1usize, 2, 8] {
-        let scratch = ScratchDir::new(&format!("{tag}-j{jobs}"));
-        let got = streamed(grid, jobs, with_traces, &scratch.0).expect("streamed grid runs");
+        let got = streamed(grid, jobs, with_traces).expect("streamed grid runs");
         assert_eq!(
             got, reference,
             "{tag}: streaming diverged from in-memory at {jobs} workers"
@@ -170,8 +169,7 @@ fn empty_grid_streams_to_empty_output() {
     let grid = CampaignGrid::new(Vec::new(), params, 2).with_trace(TraceMode::Full);
     assert!(grid.is_empty());
     for jobs in [1usize, 4] {
-        let scratch = ScratchDir::new(&format!("empty-j{jobs}"));
-        let got = streamed(&grid, jobs, true, &scratch.0).expect("empty grid streams");
+        let got = streamed(&grid, jobs, true).expect("empty grid streams");
         assert_eq!(got.cells, "");
         assert_eq!(got.traces, "");
         assert_eq!(got.aggregate, CampaignAggregate::default());
@@ -182,12 +180,12 @@ fn empty_grid_streams_to_empty_output() {
 fn single_cell_and_more_workers_than_cells_match() {
     assert_equivalent(&micro_grid(1, TraceMode::Full), true, "one-cell");
     // 3 cells on up to 8 workers: most workers never see a cell and
-    // must contribute empty shard manifests, not coverage gaps.
+    // must contribute nothing, not coverage gaps.
     assert_equivalent(&micro_grid(3, TraceMode::Full), true, "starved-workers");
 }
 
 /// A grid spanning every attack variant streams byte-identically too —
-/// variant cells spill, merge and aggregate like any other, and the
+/// variant cells stream and aggregate like any other, and the
 /// aggregate's per-variant counters tile the totals exactly.
 #[test]
 fn variant_grid_streams_byte_identically() {
@@ -242,8 +240,7 @@ fn faulted_campaign_with_aborted_cells_streams_identically() {
         "fault seed produced no aborted attempts — the test is vacuous"
     );
     for jobs in [1usize, 2, 8] {
-        let scratch = ScratchDir::new(&format!("faulted-j{jobs}"));
-        let got = streamed(&grid, jobs, true, &scratch.0).expect("faulted grid streams");
+        let got = streamed(&grid, jobs, true).expect("faulted grid streams");
         assert_eq!(
             got, reference,
             "faulted streaming diverged from in-memory at {jobs} workers"
@@ -276,9 +273,8 @@ fn streaming_reports_the_grid_order_first_error() {
         })
         .expect("a 90% fault rate with no retries kills some cell");
     for jobs in [1usize, 2, 8] {
-        let scratch = ScratchDir::new(&format!("error-j{jobs}"));
-        let err = streamed(&grid, jobs, false, &scratch.0)
-            .expect_err("streamed run must fail like the serial one");
+        let err =
+            streamed(&grid, jobs, false).expect_err("streamed run must fail like the serial one");
         match err {
             StreamError::Hv(e) => assert_eq!(
                 e, reference,
@@ -296,8 +292,7 @@ fn streaming_reports_the_grid_order_first_error() {
 fn aggregate_matches_a_hand_fold_of_serial_results() {
     let grid = micro_grid(4, TraceMode::Off);
     let results = grid.run(NonZeroUsize::MIN).expect("serial grid runs");
-    let scratch = ScratchDir::new("hand-fold");
-    let got = streamed(&grid, 2, false, &scratch.0).expect("streamed grid runs");
+    let got = streamed(&grid, 2, false).expect("streamed grid runs");
 
     let attempts: u64 = results.iter().map(|r| r.stats.attempts.len() as u64).sum();
     let succeeded = results
