@@ -7,16 +7,16 @@
 //! fail CI on perf regressions.
 //!
 //! The workspace builds offline with no external crates, so the format
-//! is written here by hand and read through the workspace's one JSON
-//! codec, [`hh_sim::json`]. The schema is deliberately flat — see
+//! is written and read through the workspace's one JSON codec,
+//! [`hh_sim::json`]; only the number style (`format_f64`) is this
+//! module's own. The schema is deliberately flat — see
 //! `EXPERIMENTS.md` ("Test and bench artefacts") for the field
 //! reference and the re-baselining policy.
 
-use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
 
-use hh_sim::json::{self, quote, Json};
+use hh_sim::json::{self, Json, Layout, ObjectWriter, ToJson};
 
 /// Schema tag emitted in every report; bumped on breaking changes.
 pub const SCHEMA: &str = "hyperhammer-bench-v1";
@@ -60,41 +60,45 @@ pub struct BenchReport {
     pub records: Vec<BenchRecord>,
 }
 
-impl BenchReport {
-    /// Serializes the report (pretty-printed, stable field order).
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "{{");
-        let _ = writeln!(out, "  \"schema\": {},", quote(SCHEMA));
-        let _ = writeln!(out, "  \"quick\": {},", self.quick);
-        let _ = writeln!(out, "  \"records\": [");
-        for (i, r) in self.records.iter().enumerate() {
-            let comma = if i + 1 < self.records.len() { "," } else { "" };
-            let flips = match r.flips_per_sec {
-                Some(f) => format_f64(f),
-                None => "null".to_string(),
-            };
-            let _ = write!(
-                out,
-                "    {{\"name\": {}, \"iters\": {}, \"ns_per_iter\": {}, \
-                 \"flips_per_sec\": {}, \"scenario\": {}, \"seed\": {}",
-                quote(&r.name),
-                r.iters,
-                format_f64(r.ns_per_iter),
-                flips,
-                quote(&r.scenario),
-                r.seed,
-            );
-            // Written only when measured, so reports from benches that
-            // never opt in stay byte-identical to pre-field baselines.
-            if let Some(kib) = r.peak_rss_kib {
-                let _ = write!(out, ", \"peak_rss_kib\": {kib}");
-            }
-            let _ = writeln!(out, "}}{comma}");
+impl ToJson for BenchRecord {
+    fn fields(&self, obj: &mut ObjectWriter<'_>) {
+        obj.string("name", &self.name);
+        obj.number("iters", self.iters);
+        obj.raw("ns_per_iter", &format_f64(self.ns_per_iter));
+        match self.flips_per_sec {
+            Some(f) => obj.raw("flips_per_sec", &format_f64(f)),
+            None => obj.null("flips_per_sec"),
         }
-        let _ = writeln!(out, "  ]");
-        let _ = write!(out, "}}");
-        out
+        obj.string("scenario", &self.scenario);
+        obj.number("seed", self.seed);
+        // Written only when measured, so reports from benches that
+        // never opt in stay byte-identical to pre-field baselines.
+        if let Some(kib) = self.peak_rss_kib {
+            obj.number("peak_rss_kib", kib);
+        }
+    }
+}
+
+impl BenchReport {
+    /// Serializes the report: pretty-printed, stable field order, one
+    /// record per line.
+    pub fn to_json(&self) -> String {
+        let mut records = String::from("[\n");
+        for (i, r) in self.records.iter().enumerate() {
+            records.push_str("    ");
+            r.write_json(&mut records, Layout::Line);
+            records.push_str(if i + 1 < self.records.len() {
+                ",\n"
+            } else {
+                "\n"
+            });
+        }
+        records.push_str("  ]");
+        json::object(Layout::Pretty, |obj| {
+            obj.string("schema", SCHEMA);
+            obj.bool("quick", self.quick);
+            obj.raw("records", &records);
+        })
     }
 
     /// Parses a report produced by [`Self::to_json`].
@@ -190,6 +194,19 @@ pub enum DiffStatus {
     New,
 }
 
+impl DiffStatus {
+    /// The verdict's name in `bench-diff` output.
+    pub const fn name(self) -> &'static str {
+        match self {
+            DiffStatus::Ok => "ok",
+            DiffStatus::Regression => "regression",
+            DiffStatus::Improved => "improved",
+            DiffStatus::Missing => "missing",
+            DiffStatus::New => "new",
+        }
+    }
+}
+
 /// One row of a baseline comparison.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DiffEntry {
@@ -206,6 +223,18 @@ pub struct DiffEntry {
     pub rss_ratio: Option<f64>,
     /// Verdict for this bench.
     pub status: DiffStatus,
+}
+
+/// One `bench-diff --json` NDJSON row.
+impl ToJson for DiffEntry {
+    fn fields(&self, obj: &mut ObjectWriter<'_>) {
+        obj.string("name", &self.name);
+        obj.opt_float("baseline_ns", self.baseline_ns);
+        obj.opt_float("current_ns", self.current_ns);
+        obj.opt_float("ratio", self.ratio);
+        obj.opt_float("rss_ratio", self.rss_ratio);
+        obj.string("status", self.status.name());
+    }
 }
 
 /// A complete baseline comparison.
@@ -337,6 +366,7 @@ fn field<'a>(obj: &'a Json, key: &str) -> Result<&'a Json, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hh_sim::json::quote;
 
     fn record(name: &str, ns: f64) -> BenchRecord {
         BenchRecord {

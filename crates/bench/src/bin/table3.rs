@@ -132,7 +132,7 @@ fn main() {
         if json {
             println!();
             for row in &summaries {
-                print!("{}", row.json_line());
+                println!("{}", hh_sim::json::to_json_line(row));
             }
         }
     }

@@ -517,11 +517,6 @@ impl BuddyAllocator {
         self.order_counts(mt).pages_below_order(9) + self.zone.pcp[mt.index()].len()
     }
 
-    /// Returns `true` if a free block of exactly (base, order) exists.
-    pub fn is_free_block(&self, base: Pfn, order: u8) -> bool {
-        matches!(self.state(base.index()), Some(PageState::Free { order: o, .. }) if o == order)
-    }
-
     /// The state of frame `pfn`, `None` outside the zone.
     fn state(&self, pfn: u64) -> Option<PageState> {
         (pfn < self.zone.frames.len()).then(|| self.zone.frames.get(pfn).state)

@@ -12,6 +12,7 @@ use hh_dram::timing::{AccessTiming, TimingProbe};
 use hh_server::journal::Journal;
 use hh_sim::addr::HUGE_PAGE_SIZE;
 use hh_sim::clock::SimDuration;
+use hh_sim::json::{self, Layout, ToJson};
 use hh_sim::Gpa;
 use hh_trace::{Counter, Metrics, Stage, TraceMode, TraceSink};
 use hyperhammer::driver::{AttackDriver, AttemptOutcome, DriverParams};
@@ -27,8 +28,8 @@ use hyperhammer::{JobSpec, MachineTemplate};
 
 use crate::opts::{ClientAction, Command, Options};
 use crate::output::{
-    self, AttackOut, AttackVariantOut, BenchDiffOut, CampaignCellOut, ProfileOut, ReconOut,
-    ScenarioOut, SteerOut, TraceCountersOut, TraceEventOut, TraceStageOut,
+    self, AttackOut, AttackVariantOut, CampaignCellOut, ProfileOut, ReconOut, ScenarioOut,
+    SteerOut, TraceEventOut, TraceStageOut,
 };
 
 /// Dispatches the parsed command.
@@ -86,28 +87,9 @@ fn bench_diff(
     let cur = BenchReport::load(std::path::Path::new(current))?;
     let report = diff(&base, &cur, tolerance)?;
 
-    let status_name = |s: DiffStatus| match s {
-        DiffStatus::Ok => "ok",
-        DiffStatus::Regression => "regression",
-        DiffStatus::Improved => "improved",
-        DiffStatus::Missing => "missing",
-        DiffStatus::New => "new",
-    };
-    let rows: Vec<BenchDiffOut> = report
-        .entries
-        .iter()
-        .map(|e| BenchDiffOut {
-            name: e.name.clone(),
-            baseline_ns: e.baseline_ns,
-            current_ns: e.current_ns,
-            ratio: e.ratio,
-            rss_ratio: e.rss_ratio,
-            status: status_name(e.status),
-        })
-        .collect();
-
+    let rows = &report.entries;
     if opts.json {
-        for row in &rows {
+        for row in rows {
             println!("{}", output::to_json_line(row));
         }
         if report.has_improvements() {
@@ -135,7 +117,7 @@ fn bench_diff(
             "{:<name_w$}  {:>10}  {:>10}  {:>7}  {:>7}  status",
             "bench", "baseline", "current", "ratio", "rss"
         );
-        for r in &rows {
+        for r in rows {
             let fmt_ratio =
                 |x: Option<f64>| x.map_or_else(|| "-".to_string(), |x| format!("{x:.2}x"));
             println!(
@@ -145,7 +127,7 @@ fn bench_diff(
                 fmt_ns(r.current_ns),
                 fmt_ratio(r.ratio),
                 fmt_ratio(r.rss_ratio),
-                r.status
+                r.status.name()
             );
         }
         println!(
@@ -566,16 +548,28 @@ fn trace_writer(opts: &Options) -> std::io::Result<Option<TraceWriter>> {
         .transpose()
 }
 
-/// Sends cell `index`'s trace lines through `writer`; returns the
-/// cell's event count.
+/// Sends cell `index`'s trace-event lines — the bytes the `--trace`
+/// file holds for the cell (none for an untraced cell) — through
+/// `writer`, one line at a time; returns the cell's event count.
 fn put_trace(writer: &TraceWriter, index: usize, result: &CellResult) -> std::io::Result<usize> {
-    let mut lines = String::new();
-    let events = trace_lines(result.trace.as_ref(), &mut lines);
+    let (cell, events) = result
+        .trace
+        .as_ref()
+        .map_or((0, &[][..]), |sink| (sink.cell(), sink.events()));
     writer
         .lock()
         .expect("trace writer poisoned")
-        .put(index, lines)?;
-    Ok(events)
+        .put_with(index, |out| {
+            let mut line = String::new();
+            for &event in events {
+                line.clear();
+                TraceEventOut { cell, event }.write_json(&mut line, Layout::Line);
+                line.push('\n');
+                out.write_all(line.as_bytes())?;
+            }
+            Ok(())
+        })?;
+    Ok(events.len())
 }
 
 /// Worker-independent state of one `campaign` run, shared by every
@@ -777,24 +771,8 @@ fn cell_out(r: &CellResult) -> CampaignCellOut {
 /// --json` prints for the cell, so the campaign server, which injects
 /// this very function, stays byte-identical to it.
 pub fn campaign_cell_line(result: &CellResult, out: &mut String) {
-    out.push_str(&output::to_json_line(&cell_out(result)));
+    cell_out(result).write_json(out, Layout::Line);
     out.push('\n');
-}
-
-/// Appends one cell's trace-event lines — the bytes the `--trace` file
-/// holds for the cell (none for an untraced cell) — to `out`; returns
-/// the number of events.
-fn trace_lines(sink: Option<&TraceSink>, out: &mut String) -> usize {
-    let Some(sink) = sink else { return 0 };
-    for event in sink.events() {
-        let record = TraceEventOut {
-            cell: sink.cell(),
-            event: *event,
-        };
-        out.push_str(&output::to_json_line(&record));
-        out.push('\n');
-    }
-    sink.events().len()
 }
 
 /// Prints the cross-variant comparison report. Single-variant grids
@@ -806,7 +784,7 @@ fn print_variant_report(rows: &[VariantRow], json: bool) {
     }
     if json {
         for row in rows {
-            print!("{}", row.json_line());
+            println!("{}", output::to_json_line(row));
         }
         return;
     }
@@ -910,19 +888,23 @@ fn trace(opts: &Options, spec: &JobSpec) -> Result<(), Box<dyn std::error::Error
             activations: merged.stage_activations(stage),
         })
         .collect();
-    let counters = TraceCountersOut {
-        counters: Counter::ALL
-            .iter()
-            .map(|&c| (c.name(), merged.get(c)))
-            .collect(),
-    };
+    // One field per counter, in declaration order.
+    let counters: Vec<(&str, u64)> = Counter::ALL
+        .iter()
+        .map(|&c| (c.name(), merged.get(c)))
+        .collect();
 
     if opts.json {
         // NDJSON: one record per stage, then the counter totals.
         for stage in &stages {
             println!("{}", output::to_json_line(stage));
         }
-        println!("{}", output::to_json_line(&counters));
+        let totals = json::object(Layout::Line, |obj| {
+            for (name, value) in &counters {
+                obj.number(name, value);
+            }
+        });
+        println!("{totals}");
         return Ok(());
     }
 
@@ -947,7 +929,7 @@ fn trace(opts: &Options, spec: &JobSpec) -> Result<(), Box<dyn std::error::Error
     }
     println!();
     println!("counters:");
-    for (name, value) in &counters.counters {
+    for (name, value) in &counters {
         println!("  {name:<24} {value}");
     }
     Ok(())
@@ -1051,7 +1033,7 @@ fn client(
         ClientAction::Submit { spec } => {
             let id = api.submit(&job_spec_to_json(spec))?;
             if opts.json {
-                println!("{{\"id\": {id}}}");
+                println!("{}", json::object(Layout::Line, |obj| obj.number("id", id)));
             } else {
                 let cells = spec.cell_count().expect("parsing validated the spec");
                 println!("submitted job {id} ({cells} cells)");

@@ -1,116 +1,12 @@
 //! Result records for `--json` output.
 //!
-//! The workspace builds offline with no external crates, so JSON is
-//! emitted through the tiny [`Json`] trait instead of a serialization
-//! framework. Records are flat (strings, numbers, bools, simple arrays),
-//! which keeps the hand-rolled encoder honest. Strings are escaped by
-//! [`hh_sim::json::quote`], the workspace's one escaper.
+//! Each record implements [`ToJson`], the workspace's one record trait,
+//! and is rendered by [`hh_sim::json`]'s object writer: pretty
+//! ([`to_json`]) for the single-record commands, one line
+//! ([`to_json_line`]) for NDJSON streams such as `--trace`.
 
-use std::fmt::Write as _;
-
-use hh_sim::json::quote;
-
-/// A type that can render itself as a JSON object.
-pub trait Json {
-    /// Appends the fields of the record as `"key": value` pairs.
-    fn fields(&self, obj: &mut JsonObject);
-}
-
-/// Accumulates the fields of one JSON object.
-#[derive(Debug, Default)]
-pub struct JsonObject {
-    entries: Vec<(String, String)>,
-}
-
-impl JsonObject {
-    /// Adds a string field (escaped).
-    pub fn string(&mut self, key: &str, value: &str) {
-        self.push(key, quote(value));
-    }
-
-    /// Adds an integer-like field.
-    pub fn number(&mut self, key: &str, value: impl std::fmt::Display) {
-        self.push(key, value.to_string());
-    }
-
-    /// Adds a float field (JSON has no NaN/Inf; they render as null).
-    pub fn float(&mut self, key: &str, value: f64) {
-        if value.is_finite() {
-            self.push(key, format!("{value}"));
-        } else {
-            self.push(key, "null".to_string());
-        }
-    }
-
-    /// Adds a boolean field.
-    pub fn bool(&mut self, key: &str, value: bool) {
-        self.push(key, value.to_string());
-    }
-
-    /// Adds an optional numeric field; `None` renders as `null`.
-    pub fn opt_number(&mut self, key: &str, value: Option<impl std::fmt::Display>) {
-        match value {
-            Some(v) => self.push(key, v.to_string()),
-            None => self.push(key, "null".to_string()),
-        }
-    }
-
-    /// Adds an optional float field; `None` renders as `null`.
-    pub fn opt_float(&mut self, key: &str, value: Option<f64>) {
-        match value {
-            Some(v) => self.float(key, v),
-            None => self.push(key, "null".to_string()),
-        }
-    }
-
-    /// Adds an array of numbers.
-    pub fn number_array(
-        &mut self,
-        key: &str,
-        values: impl IntoIterator<Item = impl std::fmt::Display>,
-    ) {
-        let inner: Vec<String> = values.into_iter().map(|v| v.to_string()).collect();
-        self.push(key, format!("[{}]", inner.join(", ")));
-    }
-
-    fn push(&mut self, key: &str, rendered: String) {
-        self.entries.push((key.to_string(), rendered));
-    }
-
-    fn render(&self) -> String {
-        let mut out = String::from("{\n");
-        for (i, (key, value)) in self.entries.iter().enumerate() {
-            let comma = if i + 1 == self.entries.len() { "" } else { "," };
-            let _ = writeln!(out, "  {}: {value}{comma}", quote(key));
-        }
-        out.push('}');
-        out
-    }
-
-    fn render_line(&self) -> String {
-        let body: Vec<String> = self
-            .entries
-            .iter()
-            .map(|(key, value)| format!("{}: {value}", quote(key)))
-            .collect();
-        format!("{{{}}}", body.join(", "))
-    }
-}
-
-/// Renders a record as a pretty-printed JSON object.
-pub fn to_json(record: &impl Json) -> String {
-    let mut obj = JsonObject::default();
-    record.fields(&mut obj);
-    obj.render()
-}
-
-/// Renders a record as a single-line JSON object — the NDJSON form used
-/// by `--trace` event streams, where one event is one line.
-pub fn to_json_line(record: &impl Json) -> String {
-    let mut obj = JsonObject::default();
-    record.fields(&mut obj);
-    obj.render_line()
-}
+pub use hh_sim::json::{to_json, to_json_line};
+use hh_sim::json::{ObjectWriter, ToJson};
 
 /// `recon` result.
 #[derive(Debug)]
@@ -129,8 +25,8 @@ pub struct ReconOut {
     pub row_bits: Vec<u32>,
 }
 
-impl Json for ReconOut {
-    fn fields(&self, obj: &mut JsonObject) {
+impl ToJson for ReconOut {
+    fn fields(&self, obj: &mut ObjectWriter<'_>) {
         obj.string("scenario", &self.scenario);
         obj.number_array("bank_masks", self.bank_masks.iter());
         obj.number("banks", self.banks);
@@ -163,8 +59,8 @@ pub struct ProfileOut {
     pub plan_misses: u64,
 }
 
-impl Json for ProfileOut {
-    fn fields(&self, obj: &mut JsonObject) {
+impl ToJson for ProfileOut {
+    fn fields(&self, obj: &mut ObjectWriter<'_>) {
         obj.string("scenario", &self.scenario);
         obj.float("sim_hours", self.sim_hours);
         obj.number("total", self.total);
@@ -198,8 +94,8 @@ pub struct SteerOut {
     pub r_e: f64,
 }
 
-impl Json for SteerOut {
-    fn fields(&self, obj: &mut JsonObject) {
+impl ToJson for SteerOut {
+    fn fields(&self, obj: &mut ObjectWriter<'_>) {
         obj.string("scenario", &self.scenario);
         obj.number("noise_before", self.noise_before);
         obj.number("noise_after", self.noise_after);
@@ -228,8 +124,8 @@ pub struct AttackOut {
     pub escape_read: Option<u64>,
 }
 
-impl Json for AttackOut {
-    fn fields(&self, obj: &mut JsonObject) {
+impl ToJson for AttackOut {
+    fn fields(&self, obj: &mut ObjectWriter<'_>) {
         obj.string("scenario", &self.scenario);
         obj.number("attempts", self.attempts);
         obj.opt_number("first_success", self.first_success);
@@ -256,8 +152,8 @@ pub struct CampaignCellOut {
     pub hours_to_success: Option<f64>,
 }
 
-impl Json for CampaignCellOut {
-    fn fields(&self, obj: &mut JsonObject) {
+impl ToJson for CampaignCellOut {
+    fn fields(&self, obj: &mut ObjectWriter<'_>) {
         obj.string("scenario", &self.scenario);
         obj.number("seed", self.seed);
         obj.number("attempts", self.attempts);
@@ -277,8 +173,8 @@ pub struct AttackVariantOut {
     pub description: String,
 }
 
-impl Json for AttackVariantOut {
-    fn fields(&self, obj: &mut JsonObject) {
+impl ToJson for AttackVariantOut {
+    fn fields(&self, obj: &mut ObjectWriter<'_>) {
         obj.string("variant", &self.variant);
         obj.string("description", &self.description);
     }
@@ -295,8 +191,8 @@ pub struct ScenarioOut {
     pub description: String,
 }
 
-impl Json for ScenarioOut {
-    fn fields(&self, obj: &mut JsonObject) {
+impl ToJson for ScenarioOut {
+    fn fields(&self, obj: &mut ObjectWriter<'_>) {
         obj.string("name", &self.name);
         obj.string("label", &self.label);
         obj.string("description", &self.description);
@@ -314,8 +210,8 @@ pub struct TraceEventOut {
     pub event: hh_trace::TimedEvent,
 }
 
-impl Json for TraceEventOut {
-    fn fields(&self, obj: &mut JsonObject) {
+impl ToJson for TraceEventOut {
+    fn fields(&self, obj: &mut ObjectWriter<'_>) {
         use hh_trace::Event;
         obj.number("cell", self.cell);
         obj.number("t_ns", self.event.nanos);
@@ -382,8 +278,8 @@ pub struct TraceStageOut {
     pub activations: u64,
 }
 
-impl Json for TraceStageOut {
-    fn fields(&self, obj: &mut JsonObject) {
+impl ToJson for TraceStageOut {
+    fn fields(&self, obj: &mut ObjectWriter<'_>) {
         obj.string("stage", &self.stage);
         obj.number("entries", self.entries);
         obj.float("sim_secs", self.sim_secs);
@@ -391,52 +287,8 @@ impl Json for TraceStageOut {
     }
 }
 
-/// The `trace` summary's aggregate counters (`--json` form): one field
-/// per [`hh_trace::Counter`], in declaration order.
-#[derive(Debug)]
-pub struct TraceCountersOut {
-    /// `(counter name, merged total)` pairs.
-    pub counters: Vec<(&'static str, u64)>,
-}
-
-impl Json for TraceCountersOut {
-    fn fields(&self, obj: &mut JsonObject) {
-        for (name, value) in &self.counters {
-            obj.number(name, value);
-        }
-    }
-}
-
-/// One row of a `bench-diff` comparison (`--json` NDJSON form).
-#[derive(Debug)]
-pub struct BenchDiffOut {
-    /// Bench name (`group/bench`).
-    pub name: String,
-    /// Baseline ns/iter, if the bench exists in the baseline.
-    pub baseline_ns: Option<f64>,
-    /// Current ns/iter, if the bench ran.
-    pub current_ns: Option<f64>,
-    /// current / baseline.
-    pub ratio: Option<f64>,
-    /// current / baseline peak RSS, when both runs measured it.
-    pub rss_ratio: Option<f64>,
-    /// Verdict: `ok`, `regression`, `improved`, `missing` or `new`.
-    pub status: &'static str,
-}
-
-impl Json for BenchDiffOut {
-    fn fields(&self, obj: &mut JsonObject) {
-        obj.string("name", &self.name);
-        obj.opt_float("baseline_ns", self.baseline_ns);
-        obj.opt_float("current_ns", self.current_ns);
-        obj.opt_float("ratio", self.ratio);
-        obj.opt_float("rss_ratio", self.rss_ratio);
-        obj.string("status", self.status);
-    }
-}
-
 /// Prints a record as JSON or via the supplied human formatter.
-pub fn emit<T: Json>(json: bool, record: &T, human: impl FnOnce()) {
+pub fn emit<T: ToJson>(json: bool, record: &T, human: impl FnOnce()) {
     if json {
         println!("{}", to_json(record));
     } else {

@@ -15,7 +15,7 @@
 
 use hh_hv::FaultConfig;
 use hh_sim::clock::SimDuration;
-use hh_sim::json::{self, quote, Json};
+use hh_sim::json::{self, to_json_line, Json, ObjectWriter, ToJson};
 
 use crate::driver::DriverParams;
 use crate::machine::Scenario;
@@ -243,33 +243,26 @@ fn need_u64(key: &str, value: &Json) -> Result<u64, String> {
         .ok_or_else(|| format!("{key:?} must be a non-negative integer"))
 }
 
-/// Serializes a [`JobSpec`] to the JSON [`job_spec_from_json`] accepts,
-/// so flag-built specs round-trip exactly.
+/// Serializes a [`JobSpec`] to the one-line JSON [`job_spec_from_json`]
+/// accepts, so flag-built specs round-trip exactly.
 pub fn job_spec_to_json(spec: &JobSpec) -> String {
-    let scenarios = spec
-        .scenarios
-        .iter()
-        .map(|s| quote(s))
-        .collect::<Vec<_>>()
-        .join(", ");
-    let jobs = match spec.jobs {
-        Some(n) => n.to_string(),
-        None => "null".to_string(),
-    };
-    format!(
-        "{{\"scenarios\": [{scenarios}], \"seeds\": {}, \"base_seed\": {}, \
-         \"attempts\": {}, \"bits\": {}, \"jobs\": {jobs}, \"priority\": {}, \
-         \"fault_rate\": {}, \"fault_seed\": {}, \"max_retries\": {}, \"backoff_ms\": {}}}",
-        spec.seeds,
-        spec.base_seed,
-        spec.attempts,
-        spec.bits,
-        spec.priority,
-        spec.fault_rate,
-        spec.fault_seed,
-        spec.max_retries,
-        spec.backoff_ms,
-    )
+    to_json_line(spec)
+}
+
+impl ToJson for JobSpec {
+    fn fields(&self, obj: &mut ObjectWriter<'_>) {
+        obj.string_array("scenarios", &self.scenarios);
+        obj.number("seeds", self.seeds);
+        obj.number("base_seed", self.base_seed);
+        obj.number("attempts", self.attempts);
+        obj.number("bits", self.bits);
+        obj.opt_number("jobs", self.jobs);
+        obj.number("priority", self.priority);
+        obj.float("fault_rate", self.fault_rate);
+        obj.number("fault_seed", self.fault_seed);
+        obj.number("max_retries", self.max_retries);
+        obj.number("backoff_ms", self.backoff_ms);
+    }
 }
 
 #[cfg(test)]

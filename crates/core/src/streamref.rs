@@ -26,7 +26,7 @@
 use std::collections::BTreeMap;
 use std::io::{self, Write};
 
-use hh_sim::json::quote;
+use hh_sim::json::{ObjectWriter, ToJson};
 use hh_trace::{Counter, Stage};
 
 use crate::driver::AttemptOutcome;
@@ -253,27 +253,25 @@ impl VariantRow {
     pub fn success_rate(&self) -> f64 {
         self.succeeded as f64 / self.cells as f64
     }
+}
 
-    /// The row's NDJSON record, newline included.
-    pub fn json_line(&self) -> String {
-        format!(
-            "{{\"variant\": {}, \"cells\": {}, \"succeeded\": {}, \"attempts\": {}, \
-             \"success_rate\": {}}}\n",
-            quote(self.variant.label()),
-            self.cells,
-            self.succeeded,
-            self.attempts,
-            self.success_rate(),
-        )
+impl ToJson for VariantRow {
+    fn fields(&self, obj: &mut ObjectWriter<'_>) {
+        obj.string("variant", self.variant.label());
+        obj.number("cells", self.cells);
+        obj.number("succeeded", self.succeeded);
+        obj.number("attempts", self.attempts);
+        obj.float("success_rate", self.success_rate());
     }
 }
 
 /// Writes per-cell payloads in grid order as the grid prefix completes.
 ///
-/// Workers finish cells out of order. [`put`](Self::put) writes a
-/// payload straight through when its index is the next one in grid
-/// order, then drains every parked successor; any other payload waits in
-/// `pending`. The engine hands cells out in ascending grid order (see
+/// Workers finish cells out of order. [`put_with`](Self::put_with)
+/// renders a payload straight into the sink when its index is the next
+/// one in grid order, then drains every parked successor; any other
+/// payload is rendered into a buffer that waits in `pending`. The engine
+/// hands cells out in ascending grid order (see
 /// [`parallel_reduce_indexed`](crate::parallel::parallel_reduce_indexed)),
 /// so only cells that finished while an older cell was still running
 /// wait — about one per worker, never the whole grid. Because each
@@ -283,7 +281,7 @@ impl VariantRow {
 pub struct GridWriter<W> {
     out: W,
     next: usize,
-    pending: BTreeMap<usize, String>,
+    pending: BTreeMap<usize, Vec<u8>>,
 }
 
 impl<W: Write> GridWriter<W> {
@@ -301,23 +299,39 @@ impl<W: Write> GridWriter<W> {
     ///
     /// # Errors
     ///
-    /// `InvalidData` when cell `index` was already put; otherwise the
-    /// sink's write failures.
+    /// As [`put_with`](Self::put_with).
     pub fn put(&mut self, index: usize, payload: String) -> io::Result<()> {
+        self.put_with(index, |w| w.write_all(payload.as_bytes()))
+    }
+
+    /// Accepts cell `index`'s payload as a renderer, which writes zero
+    /// or more complete newline-terminated lines: into the sink when
+    /// the cell is next in grid order, so a large payload never exists
+    /// whole in memory, and into a parked buffer otherwise.
+    ///
+    /// # Errors
+    ///
+    /// `InvalidData` when cell `index` was already put; otherwise the
+    /// renderer's or the sink's write failures.
+    pub fn put_with(
+        &mut self,
+        index: usize,
+        render: impl FnOnce(&mut dyn Write) -> io::Result<()>,
+    ) -> io::Result<()> {
         let duplicate = || invalid(format!("cell {index} written twice"));
-        if index < self.next {
+        if index < self.next || self.pending.contains_key(&index) {
             return Err(duplicate());
         }
         if index > self.next {
-            return match self.pending.insert(index, payload) {
-                Some(_) => Err(duplicate()),
-                None => Ok(()),
-            };
+            let mut parked = Vec::new();
+            render(&mut parked)?;
+            self.pending.insert(index, parked);
+            return Ok(());
         }
-        self.out.write_all(payload.as_bytes())?;
+        render(&mut self.out)?;
         self.next += 1;
         while let Some(parked) = self.pending.remove(&self.next) {
-            self.out.write_all(parked.as_bytes())?;
+            self.out.write_all(&parked)?;
             self.next += 1;
         }
         Ok(())
@@ -395,7 +409,7 @@ mod tests {
             [AttackVariant::Balloon, AttackVariant::Xen]
         );
         assert_eq!(
-            rows[0].json_line(),
+            hh_sim::json::to_json_line(&rows[0]) + "\n",
             "{\"variant\": \"balloon\", \"cells\": 4, \"succeeded\": 1, \"attempts\": 9, \
              \"success_rate\": 0.25}\n"
         );

@@ -237,9 +237,8 @@ impl DramDevice {
     ///
     /// Panics if any aggressor address is outside the device.
     pub fn hammer(&mut self, pattern: &HammerPattern, rounds: u64) -> HammerResult {
-        let result = self.hammer_untraced(pattern, rounds);
-        self.trace_burst(&result);
-        result
+        let plan = self.plan_for(pattern);
+        self.hammer_planned(&plan, rounds)
     }
 
     /// Reports one finished burst to the attached tracer (flips first,
@@ -260,11 +259,6 @@ impl DramDevice {
             result.trr_refreshes,
             result.flips.len() as u64,
         );
-    }
-
-    fn hammer_untraced(&mut self, pattern: &HammerPattern, rounds: u64) -> HammerResult {
-        let plan = self.plan_for(pattern);
-        self.execute_plan(&plan, rounds)
     }
 
     /// Executes a precompiled plan and reports to the tracer, exactly
@@ -898,86 +892,5 @@ mod tests {
             dev.hammer(&pattern, 400_000).flips
         };
         assert_eq!(run(), run());
-    }
-}
-
-impl DramDevice {
-    /// RowPress-style disturbance (Luo et al., ISCA '23): keeping an
-    /// aggressor row *open* for an extended time amplifies read
-    /// disturbance, so far fewer activations are needed than classic
-    /// Rowhammer. `open_amplification` models the ratio of row-open time
-    /// to the minimum (tRAS): each activation counts that many times
-    /// toward victims' thresholds, capped at 128× (the order of magnitude
-    /// the paper reports for maximum tAggON).
-    ///
-    /// This is an extension beyond HyperHammer (which only cites
-    /// RowPress); it shares the fault model, so mitigations tested
-    /// against one apply to both.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `open_amplification` is not ≥ 1.
-    pub fn rowpress(
-        &mut self,
-        pattern: &HammerPattern,
-        rounds: u64,
-        open_amplification: u64,
-    ) -> HammerResult {
-        assert!(open_amplification >= 1, "amplification must be >= 1");
-        let amp = open_amplification.min(128);
-        let mut result = self.hammer_untraced(pattern, rounds.saturating_mul(amp));
-        // Physical activations issued are the *un*amplified count; the
-        // amplification came from time, not from extra ACT commands.
-        result.activations = rounds * pattern.aggressors().len() as u64;
-        self.total_activations -= rounds * (amp - 1) * pattern.aggressors().len() as u64;
-        self.trace_burst(&result);
-        result
-    }
-}
-
-#[cfg(test)]
-mod rowpress_tests {
-    use super::*;
-    use crate::fault::DimmProfile;
-
-    #[test]
-    fn rowpress_flips_with_far_fewer_activations() {
-        let mut dev = DramDevice::new(DimmProfile::test_profile(64 << 20), 1234);
-        dev.fill(hh_sim::Hpa::new(0), 64 << 20, 0xff);
-        // 4 000 activations: hopeless for classic hammering (min
-        // threshold 100 k)...
-        let pattern = HammerPattern::single_sided_for(dev.geometry(), 3, 20);
-        let classic = dev.hammer(&pattern, 4_000);
-        assert!(classic.flips.is_empty());
-        // ...but with 100× row-open amplification the same activation
-        // budget flips.
-        let mut flipped = false;
-        for row in 4..60 {
-            for bank in 0..8 {
-                let p = HammerPattern::single_sided_for(dev.geometry(), bank, row);
-                if !dev.rowpress(&p, 4_000, 100).flips.is_empty() {
-                    flipped = true;
-                }
-            }
-        }
-        assert!(flipped, "amplified disturbance must cross thresholds");
-    }
-
-    #[test]
-    fn rowpress_accounts_physical_activations_only() {
-        let mut dev = DramDevice::new(DimmProfile::test_profile(32 << 20), 7);
-        let pattern = HammerPattern::single_sided_for(dev.geometry(), 0, 10);
-        let before = dev.total_activations();
-        let result = dev.rowpress(&pattern, 1_000, 64);
-        assert_eq!(result.activations, 2_000);
-        assert_eq!(dev.total_activations(), before + 2_000);
-    }
-
-    #[test]
-    #[should_panic(expected = "amplification")]
-    fn rowpress_rejects_zero_amplification() {
-        let mut dev = DramDevice::new(DimmProfile::test_profile(32 << 20), 7);
-        let pattern = HammerPattern::single_sided_for(dev.geometry(), 0, 10);
-        dev.rowpress(&pattern, 1_000, 0);
     }
 }

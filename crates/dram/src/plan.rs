@@ -145,11 +145,6 @@ impl HammerPlan {
     pub fn banks(&self) -> &[BankPlan] {
         &self.banks
     }
-
-    /// Total victim rows across all banks (diagnostics / tests).
-    pub fn victim_count(&self) -> usize {
-        self.banks.iter().map(|b| b.victims.len()).sum()
-    }
 }
 
 /// Point-in-time counters of a [`PlanCache`].

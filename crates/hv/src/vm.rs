@@ -205,11 +205,6 @@ impl Vm {
         &self.virtio_mem
     }
 
-    /// Assigned IOMMU groups.
-    pub fn iommu_group_count(&self) -> usize {
-        self.iommu_groups.len()
-    }
-
     /// Backs and maps one 2 MiB chunk.
     fn provision_chunk(&mut self, host: &mut Host, base: Gpa) -> Result<(), HvError> {
         debug_assert!(base.is_aligned(HUGE_PAGE_SIZE));
@@ -647,11 +642,6 @@ impl Vm {
     /// Current flip-journal cursor (pair with [`Self::scan_for_flips`]).
     pub fn journal_cursor(&self, host: &Host) -> usize {
         host.dram().flip_journal().len()
-    }
-
-    /// Journal cursor at VM creation.
-    pub fn creation_cursor(&self) -> usize {
-        self.journal_start
     }
 
     /// Attributes a host frame back to the guest page currently backed by

@@ -9,7 +9,7 @@
 
 use std::io::{self, BufRead, Read, Write};
 
-use hh_sim::json::quote;
+use hh_sim::json::{self, Layout, ObjectWriter};
 
 /// Upper bound on the request line plus all header bytes.
 pub const MAX_HEAD_BYTES: usize = 8 * 1024;
@@ -265,6 +265,17 @@ impl Response {
         }
     }
 
+    /// A JSON response whose body is the one-line object `fields`
+    /// writes.
+    pub fn object(status: u16, fields: impl FnOnce(&mut ObjectWriter<'_>)) -> Self {
+        Self::json(status, json::object(Layout::Line, fields))
+    }
+
+    /// A JSON error response, `{"error": msg}`.
+    pub fn error(status: u16, msg: &str) -> Self {
+        Self::object(status, |obj| obj.string("error", msg))
+    }
+
     /// Writes status line, headers and body.
     ///
     /// # Errors
@@ -290,17 +301,14 @@ impl Response {
 pub fn error_response(err: &ParseError) -> Option<Response> {
     let (status, msg) = match err {
         ParseError::Eof | ParseError::Io(_) => return None,
-        ParseError::BadRequest(msg) => (400, msg.clone()),
-        ParseError::LengthRequired => (411, "Content-Length required".to_string()),
+        ParseError::BadRequest(msg) => (400, msg.as_str()),
+        ParseError::LengthRequired => (411, "Content-Length required"),
         ParseError::TooLarge(msg) => {
             let status = if msg.contains("head") { 431 } else { 413 };
-            (status, msg.clone())
+            (status, msg.as_str())
         }
     };
-    Some(Response::json(
-        status,
-        format!("{{\"error\": {}}}", quote(&msg)),
-    ))
+    Some(Response::error(status, msg))
 }
 
 /// Writer for a `Transfer-Encoding: chunked` response body.

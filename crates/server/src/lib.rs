@@ -61,7 +61,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use hh_sim::json::quote;
+use hh_sim::json::{self, to_json_line, Layout, ObjectWriter, ToJson};
 use hyperhammer::jobspec::job_spec_from_json;
 use hyperhammer::parallel::{resolve_jobs, CellConsumer, StreamError};
 use hyperhammer::streamref::CampaignAggregate;
@@ -176,26 +176,20 @@ pub struct JobSnapshot {
     pub aggregate: CampaignAggregate,
 }
 
-impl JobSnapshot {
-    /// Serializes the snapshot as the `GET /jobs/{id}` response body.
-    pub fn to_json(&self) -> String {
-        let error = match &self.status {
-            JobStatus::Failed(msg) => format!(", \"error\": {}", quote(msg)),
-            _ => String::new(),
-        };
-        format!(
-            "{{\"id\": {}, \"status\": {}, \"priority\": {}, \"cells\": {}, \
-             \"completed\": {}, \"succeeded\": {}, \"attempts\": {}, \
-             \"aborted_attempts\": {}{error}}}",
-            self.id,
-            quote(self.status.name()),
-            self.priority,
-            self.cells,
-            self.completed,
-            self.aggregate.succeeded,
-            self.aggregate.attempts,
-            self.aggregate.aborted_attempts,
-        )
+/// The `GET /jobs/{id}` response body.
+impl ToJson for JobSnapshot {
+    fn fields(&self, obj: &mut ObjectWriter<'_>) {
+        obj.number("id", self.id);
+        obj.string("status", self.status.name());
+        obj.number("priority", self.priority);
+        obj.number("cells", self.cells);
+        obj.number("completed", self.completed);
+        obj.number("succeeded", self.aggregate.succeeded);
+        obj.number("attempts", self.aggregate.attempts);
+        obj.number("aborted_attempts", self.aggregate.aborted_attempts);
+        if let JobStatus::Failed(msg) = &self.status {
+            obj.string("error", msg);
+        }
     }
 }
 
@@ -571,15 +565,16 @@ impl JobManager {
             .expect("templates poisoned")
             .len();
         let values = *self.shared.counters.lock().expect("counters poisoned");
-        let counters = ServerCounter::ALL
-            .iter()
-            .map(|&c| format!("\"{}\": {}", c.name(), values[c as usize]))
-            .collect::<Vec<_>>()
-            .join(", ");
-        format!(
-            "{{\"queue_depth\": {depth}, \"jobs\": {jobs}, \"templates\": {templates}, \
-             \"counters\": {{{counters}}}}}"
-        )
+        json::object(Layout::Line, |obj| {
+            obj.number("queue_depth", depth);
+            obj.number("jobs", jobs);
+            obj.number("templates", templates);
+            obj.object("counters", |counters| {
+                for &c in ServerCounter::ALL.iter() {
+                    counters.number(c.name(), values[c as usize]);
+                }
+            });
+        })
     }
 
     /// Current value of one server counter (used by tests/benches).
@@ -1013,7 +1008,7 @@ fn handle_connection(stream: TcpStream, ctx: &Arc<ServerCtx>) {
             Err(err) => {
                 let resp = match &err {
                     ParseError::Io(e) if is_timeout(e) => {
-                        Some(Response::json(408, "{\"error\": \"request timed out\"}"))
+                        Some(Response::error(408, "request timed out"))
                     }
                     _ => error_response(&err),
                 };
@@ -1057,30 +1052,33 @@ fn route(ctx: &Arc<ServerCtx>, request: &Request, writer: &mut TcpStream) -> io:
         .filter(|s| !s.is_empty())
         .collect();
     let resp = match (request.method, segments.as_slice()) {
-        (Method::Get, ["healthz"]) => Response::json(200, "{\"ok\": true}"),
+        (Method::Get, ["healthz"]) => Response::object(200, |obj| obj.bool("ok", true)),
         (Method::Get, ["metrics"]) => Response::json(200, manager.metrics_json()),
         (Method::Post, ["shutdown"]) => {
-            let resp = Response::json(200, "{\"shutting_down\": true}");
+            let resp = Response::object(200, |obj| obj.bool("shutting_down", true));
             resp.write_to(writer, false)?;
             shutdown_from_handler(ctx);
             return Ok(Handled::Streamed);
         }
         (Method::Post, ["jobs"]) => match submit_body(manager, &request.body) {
-            Ok((id, cells)) => Response::json(202, format!("{{\"id\": {id}, \"cells\": {cells}}}")),
-            Err(msg) => Response::json(400, format!("{{\"error\": {}}}", quote(&msg))),
+            Ok((id, cells)) => Response::object(202, |obj| {
+                obj.number("id", id);
+                obj.number("cells", cells);
+            }),
+            Err(msg) => Response::error(400, &msg),
         },
         (Method::Get, ["jobs", id]) => {
             match id.parse::<u64>().ok().and_then(|id| manager.status(id)) {
-                Some(snapshot) => Response::json(200, snapshot.to_json()),
+                Some(snapshot) => Response::json(200, to_json_line(&snapshot)),
                 None => not_found(),
             }
         }
         (Method::Delete, ["jobs", id]) => match id.parse::<u64>().ok() {
             Some(id) => match manager.cancel(id) {
-                Some(observed) => Response::json(
-                    202,
-                    format!("{{\"id\": {id}, \"was\": {}}}", quote(observed.name())),
-                ),
+                Some(observed) => Response::object(202, |obj| {
+                    obj.number("id", id);
+                    obj.string("was", observed.name());
+                }),
                 None => not_found(),
             },
             None => not_found(),
@@ -1092,13 +1090,13 @@ fn route(ctx: &Arc<ServerCtx>, request: &Request, writer: &mut TcpStream) -> io:
             }
             _ => not_found(),
         },
-        _ => Response::json(404, "{\"error\": \"no such route\"}"),
+        _ => Response::error(404, "no such route"),
     };
     Ok(Handled::Response(resp))
 }
 
 fn not_found() -> Response {
-    Response::json(404, "{\"error\": \"no such job\"}")
+    Response::error(404, "no such job")
 }
 
 fn submit_body(manager: &JobManager, body: &[u8]) -> Result<(u64, usize), String> {
@@ -1147,6 +1145,7 @@ fn shutdown_from_handler(ctx: &Arc<ServerCtx>) {
 mod tests {
     use std::num::NonZeroUsize;
 
+    use hh_sim::json::Json;
     use hyperhammer::jobspec::job_spec_to_json;
 
     use super::*;
@@ -1568,6 +1567,69 @@ mod tests {
         let mut reply = String::new();
         conn.read_to_string(&mut reply).unwrap();
         reply
+    }
+
+    /// One `Connection: close` request; the reply's status and body.
+    fn exchange(server: &CampaignServer, method: &str, path: &str, body: &str) -> (u16, String) {
+        let head = format!(
+            "{method} {path} HTTP/1.1\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+            body.len()
+        );
+        let reply = raw_exchange(server, &head, Duration::ZERO, body);
+        let (head, body) = reply.split_once("\r\n\r\n").expect("a complete reply");
+        let status = head[9..12].parse().expect("a status code");
+        (status, body.to_string())
+    }
+
+    #[test]
+    fn every_reply_body_parses_as_json() {
+        let server = CampaignServer::start("127.0.0.1:0", fmt).unwrap();
+        let spec = job_spec_to_json(&tiny_spec());
+        let replies = [
+            ("GET", "/healthz", "", 200),
+            ("POST", "/jobs", spec.as_str(), 202),
+            ("POST", "/jobs", "{\"scenarios\": [\"warp\\\"9\"]}", 400),
+            ("GET", "/jobs/0", "", 200),
+            ("DELETE", "/jobs/0", "", 202),
+            ("GET", "/jobs/999", "", 404),
+            ("DELETE", "/jobs/999", "", 404),
+            ("GET", "/jobs/999/stream", "", 404),
+            ("GET", "/no/such/route", "", 404),
+            ("GET", "/metrics", "", 200),
+            ("POST", "/shutdown", "", 200),
+        ];
+        for (method, path, body, want) in replies {
+            let (status, reply) = exchange(&server, method, path, body);
+            assert_eq!(status, want, "{method} {path}: {reply}");
+            let doc = json::parse(&reply).unwrap_or_else(|e| panic!("{method} {path}: {e}"));
+            assert!(doc.as_object().is_some_and(|m| !m.is_empty()), "{reply}");
+        }
+        server.join();
+
+        // A protocol error whose message needs escaping, and a failed
+        // job's status.
+        let err = ParseError::BadRequest("bad \"header\"\nline\t\u{1}".to_string());
+        let body = error_response(&err).unwrap().body;
+        let doc = json::parse(std::str::from_utf8(&body).unwrap()).unwrap();
+        assert_eq!(
+            doc.get("error").and_then(Json::as_str),
+            Some("bad \"header\"\nline\t\u{1}")
+        );
+        let snapshot = JobSnapshot {
+            id: 3,
+            status: JobStatus::Failed("spool \"x\"\n".to_string()),
+            priority: 1,
+            cells: 4,
+            completed: 2,
+            start_order: Some(0),
+            aggregate: CampaignAggregate::default(),
+        };
+        let doc = json::parse(&to_json_line(&snapshot)).unwrap();
+        assert_eq!(doc.get("status").and_then(Json::as_str), Some("failed"));
+        assert_eq!(
+            doc.get("error").and_then(Json::as_str),
+            Some("spool \"x\"\n")
+        );
     }
 
     #[test]

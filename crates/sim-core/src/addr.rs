@@ -229,13 +229,6 @@ impl Pfn {
         Hpa::new(self.0 * PAGE_SIZE)
     }
 
-    /// Returns the guest-physical address of the first byte of the frame,
-    /// for PFNs that index guest-physical space.
-    #[inline]
-    pub const fn base_gpa(self) -> Gpa {
-        Gpa::new(self.0 * PAGE_SIZE)
-    }
-
     /// Returns the PFN advanced by `n` frames.
     ///
     /// # Panics

@@ -1,10 +1,13 @@
-//! The workspace's one JSON codec (std-only).
+//! The workspace's one JSON codec (std-only), in both directions.
 //!
 //! Every JSON document the workspace reads — `POST /jobs` bodies,
 //! journal headers, server replies, bench reports — goes through
-//! [`parse`], and every JSON string it writes goes through [`quote`].
-//! Encoders stay where their formats live (`format!` templates with
-//! fixed field order); only the escaping is shared.
+//! [`parse`], and every JSON object it writes — `--json` records,
+//! `--trace` lines, server replies, job specs, bench reports — goes
+//! through [`ObjectWriter`]. The layout is decided here once: `": "`
+//! after a key, `", "` between members on one line ([`Layout::Line`])
+//! or one indented member per line ([`Layout::Pretty`]), `null` for a
+//! missing value and for a non-finite float.
 //!
 //! The decoder is total over outside bytes: any input yields a
 //! [`Json`] value or a typed [`JsonError`] carrying the byte offset of
@@ -23,7 +26,7 @@
 //! # Examples
 //!
 //! ```
-//! use hh_sim::json::{self, Json, JsonErrorKind};
+//! use hh_sim::json::{self, Json, JsonErrorKind, Layout};
 //!
 //! let doc = json::parse(r#"{"seed": 18446744073709551615, "name": "tiny"}"#).unwrap();
 //! assert_eq!(doc.get("seed").and_then(Json::as_u64), Some(u64::MAX));
@@ -32,7 +35,12 @@
 //! let err = json::parse("[1, 2,]").unwrap_err();
 //! assert_eq!((err.kind, err.offset), (JsonErrorKind::Expected("a value"), 6));
 //!
-//! assert_eq!(json::quote("a\"b\n"), r#""a\"b\n""#);
+//! let line = json::object(Layout::Line, |obj| {
+//!     obj.string("name", "a\"b\n");
+//!     obj.number("seed", 7u64);
+//!     obj.float("rate", f64::NAN);
+//! });
+//! assert_eq!(line, r#"{"name": "a\"b\n", "seed": 7, "rate": null}"#);
 //! ```
 
 use std::error::Error;
@@ -201,6 +209,12 @@ pub fn parse(text: &str) -> Result<Json, JsonError> {
 /// copied through as UTF-8.
 pub fn quote(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
+    quote_into(&mut out, s);
+    out
+}
+
+/// [`quote`], appended to `out`.
+fn quote_into(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -216,7 +230,185 @@ pub fn quote(s: &str) -> String {
         }
     }
     out.push('"');
+}
+
+/// How [`ObjectWriter`] lays out an object's members.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Layout {
+    /// `{"k": v, "k2": v2}` — one NDJSON line.
+    Line,
+    /// `{`, then each member on its own line indented two spaces, then
+    /// `}` — the CLI's single-record commands and bench reports.
+    Pretty,
+}
+
+/// A record that renders itself as one JSON object.
+pub trait ToJson {
+    /// Writes the record's members, in their fixed order.
+    fn fields(&self, obj: &mut ObjectWriter<'_>);
+
+    /// Appends the record to `out` in `layout`.
+    fn write_json(&self, out: &mut String, layout: Layout) {
+        write_object(out, layout, |obj| self.fields(obj));
+    }
+}
+
+/// Renders `record` as a pretty-printed object.
+pub fn to_json(record: &(impl ToJson + ?Sized)) -> String {
+    object(Layout::Pretty, |obj| record.fields(obj))
+}
+
+/// Renders `record` as a one-line object, without a newline.
+pub fn to_json_line(record: &(impl ToJson + ?Sized)) -> String {
+    object(Layout::Line, |obj| record.fields(obj))
+}
+
+/// Renders the object `fields` writes, in `layout`.
+pub fn object(layout: Layout, fields: impl FnOnce(&mut ObjectWriter<'_>)) -> String {
+    let mut out = String::new();
+    write_object(&mut out, layout, fields);
     out
+}
+
+/// Appends the object `fields` writes to `out`, in `layout`.
+pub fn write_object(out: &mut String, layout: Layout, fields: impl FnOnce(&mut ObjectWriter<'_>)) {
+    out.push('{');
+    if layout == Layout::Pretty {
+        out.push('\n');
+    }
+    let mut obj = ObjectWriter {
+        out,
+        layout,
+        empty: true,
+    };
+    fields(&mut obj);
+    if layout == Layout::Pretty && !obj.empty {
+        obj.out.push('\n');
+    }
+    obj.out.push('}');
+}
+
+/// Integer types [`ObjectWriter::number`] writes exactly (floats go
+/// through [`ObjectWriter::float`], which knows about NaN).
+pub trait Int: fmt::Display {}
+
+macro_rules! int_types {
+    ($($t:ty),*) => { $(impl Int for $t {})* };
+}
+int_types!(u8, u32, u64, usize);
+impl<T: Int + ?Sized> Int for &T {}
+
+/// Appends one object's members straight into the caller's `String`;
+/// see [`write_object`] and [`ToJson`].
+#[derive(Debug)]
+pub struct ObjectWriter<'a> {
+    out: &'a mut String,
+    layout: Layout,
+    empty: bool,
+}
+
+impl ObjectWriter<'_> {
+    /// Writes the separator and `"key": `; the value follows.
+    fn key(&mut self, key: &str) -> &mut String {
+        match (self.layout, self.empty) {
+            (Layout::Line, false) => self.out.push_str(", "),
+            (Layout::Pretty, false) => self.out.push_str(",\n  "),
+            (Layout::Pretty, true) => self.out.push_str("  "),
+            (Layout::Line, true) => {}
+        }
+        self.empty = false;
+        quote_into(self.out, key);
+        self.out.push_str(": ");
+        self.out
+    }
+
+    /// A string member (escaped).
+    pub fn string(&mut self, key: &str, value: &str) {
+        quote_into(self.key(key), value);
+    }
+
+    /// An integer member.
+    pub fn number(&mut self, key: &str, value: impl Int) {
+        let _ = write!(self.key(key), "{value}");
+    }
+
+    /// A float member; JSON has no NaN or infinity, so a non-finite
+    /// value is `null`.
+    pub fn float(&mut self, key: &str, value: f64) {
+        let out = self.key(key);
+        if value.is_finite() {
+            let _ = write!(out, "{value}");
+        } else {
+            out.push_str("null");
+        }
+    }
+
+    /// A boolean member.
+    pub fn bool(&mut self, key: &str, value: bool) {
+        self.key(key).push_str(if value { "true" } else { "false" });
+    }
+
+    /// A `null` member: a value that is missing.
+    pub fn null(&mut self, key: &str) {
+        self.key(key).push_str("null");
+    }
+
+    /// An optional integer member; `None` is `null`.
+    pub fn opt_number(&mut self, key: &str, value: Option<impl Int>) {
+        match value {
+            Some(v) => self.number(key, v),
+            None => self.null(key),
+        }
+    }
+
+    /// An optional float member; `None` (and a non-finite value) is
+    /// `null`.
+    pub fn opt_float(&mut self, key: &str, value: Option<f64>) {
+        match value {
+            Some(v) => self.float(key, v),
+            None => self.null(key),
+        }
+    }
+
+    /// An array of integers, `[1, 2, 3]`.
+    pub fn number_array(&mut self, key: &str, values: impl IntoIterator<Item = impl Int>) {
+        self.array(key, values, |out, v| {
+            let _ = write!(out, "{v}");
+        });
+    }
+
+    /// An array of strings, `["a", "b"]`.
+    pub fn string_array(&mut self, key: &str, values: impl IntoIterator<Item = impl AsRef<str>>) {
+        self.array(key, values, |out, v| quote_into(out, v.as_ref()));
+    }
+
+    fn array<T>(
+        &mut self,
+        key: &str,
+        values: impl IntoIterator<Item = T>,
+        mut item: impl FnMut(&mut String, T),
+    ) {
+        let out = self.key(key);
+        out.push('[');
+        for (i, v) in values.into_iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            item(out, v);
+        }
+        out.push(']');
+    }
+
+    /// A nested object, always on one line.
+    pub fn object(&mut self, key: &str, fields: impl FnOnce(&mut ObjectWriter<'_>)) {
+        write_object(self.key(key), Layout::Line, fields);
+    }
+
+    /// A value the caller rendered itself, copied through verbatim; it
+    /// must be valid JSON.
+    pub fn raw(&mut self, key: &str, value: &str) {
+        self.key(key).push_str(value);
+    }
 }
 
 struct Parser<'a> {
@@ -450,6 +642,7 @@ impl Parser<'_> {
 mod tests {
     use super::*;
     use crate::check;
+    use crate::rng::SimRng;
     use JsonErrorKind::*;
 
     fn num(raw: &str) -> Json {
@@ -672,5 +865,182 @@ mod tests {
                 assert!(e.offset <= input.len(), "{e} beyond {} bytes", input.len());
             }
         });
+    }
+
+    /// One random member the writer can emit, and the value `parse`
+    /// must read back for it.
+    fn random_member(rng: &mut SimRng, key: String, depth: usize) -> (String, Member) {
+        let member = match rng.gen_range(0u8..if depth == 0 { 9 } else { 8 }) {
+            0 => Member::Str(random_text(rng)),
+            1 => Member::Int(rng.next_u64() >> rng.gen_range(0u32..64)),
+            2 => Member::Float(random_float(rng)),
+            3 => Member::Bool(rng.gen_bool(0.5)),
+            4 => Member::OptInt((rng.gen_bool(0.5)).then(|| rng.next_u64())),
+            5 => Member::OptFloat((rng.gen_bool(0.5)).then(|| random_float(rng))),
+            6 => Member::Ints(check::vec_of(rng, 0, 5, |r| r.next_u64() >> 8)),
+            7 => Member::Strs(check::vec_of(rng, 0, 4, random_text)),
+            _ => Member::Obj(random_members(rng, depth + 1)),
+        };
+        (key, member)
+    }
+
+    fn random_members(rng: &mut SimRng, depth: usize) -> Vec<(String, Member)> {
+        let n = rng.gen_range(0usize..7);
+        (0..n)
+            .map(|_| {
+                let key = random_text(rng);
+                random_member(rng, key, depth)
+            })
+            .collect()
+    }
+
+    /// Text with quotes, backslashes, every control character class,
+    /// and non-ASCII up to the supplementary planes.
+    fn random_text(rng: &mut SimRng) -> String {
+        const PIECES: &[&str] = &[
+            "a",
+            "Z",
+            "tiny",
+            " ",
+            "\"",
+            "\\",
+            "/",
+            "\n",
+            "\r",
+            "\t",
+            "\u{0}",
+            "\u{1}",
+            "\u{8}",
+            "\u{c}",
+            "\u{1f}",
+            "\u{7f}",
+            "é",
+            "Ω",
+            "\u{2028}",
+            "\u{fffd}",
+            "😀",
+            "\u{10ffff}",
+        ];
+        let n = rng.gen_range(0usize..8);
+        (0..n)
+            .map(|_| PIECES[rng.gen_range(0..PIECES.len())])
+            .collect()
+    }
+
+    fn random_float(rng: &mut SimRng) -> f64 {
+        match rng.gen_range(0u8..6) {
+            0 => f64::NAN,
+            1 => f64::INFINITY,
+            2 => f64::NEG_INFINITY,
+            3 => f64::from_bits(rng.next_u64()),
+            4 => rng.gen_range(0u64..1000) as f64 / 8.0 - 50.0,
+            _ => (rng.next_u64() >> 11) as f64 * 1e-9,
+        }
+    }
+
+    /// A member as the test draws it.
+    #[derive(Debug)]
+    enum Member {
+        Str(String),
+        Int(u64),
+        Float(f64),
+        Bool(bool),
+        OptInt(Option<u64>),
+        OptFloat(Option<f64>),
+        Ints(Vec<u64>),
+        Strs(Vec<String>),
+        Obj(Vec<(String, Member)>),
+    }
+
+    fn write_members(obj: &mut ObjectWriter<'_>, members: &[(String, Member)]) {
+        for (key, member) in members {
+            match member {
+                Member::Str(s) => obj.string(key, s),
+                Member::Int(n) => obj.number(key, n),
+                Member::Float(f) => obj.float(key, *f),
+                Member::Bool(b) => obj.bool(key, *b),
+                Member::OptInt(n) => obj.opt_number(key, *n),
+                Member::OptFloat(f) => obj.opt_float(key, *f),
+                Member::Ints(ns) => obj.number_array(key, ns),
+                Member::Strs(ss) => obj.string_array(key, ss),
+                Member::Obj(inner) => obj.object(key, |o| write_members(o, inner)),
+            }
+        }
+    }
+
+    /// The value `parse` must return for what the writer emitted;
+    /// numbers compare through their typed accessors, not their lexeme.
+    fn assert_reads_back(members: &[(String, Member)], doc: &Json) {
+        let got = doc.as_object().expect("an object");
+        assert_eq!(got.len(), members.len(), "{doc:?}");
+        let float = |f: f64, v: &Json| {
+            if f.is_finite() {
+                assert_eq!(v.as_f64(), Some(f), "{v:?}");
+            } else {
+                assert_eq!(v, &Json::Null);
+            }
+        };
+        for ((key, member), (got_key, v)) in members.iter().zip(got) {
+            assert_eq!(key, got_key);
+            match member {
+                Member::Str(s) => assert_eq!(v.as_str(), Some(s.as_str())),
+                Member::Int(n) | Member::OptInt(Some(n)) => assert_eq!(v.as_u64(), Some(*n)),
+                Member::Float(f) | Member::OptFloat(Some(f)) => float(*f, v),
+                Member::Bool(b) => assert_eq!(v.as_bool(), Some(*b)),
+                Member::OptInt(None) | Member::OptFloat(None) => assert_eq!(v, &Json::Null),
+                Member::Ints(ns) => {
+                    let got: Vec<_> = v.as_array().unwrap().iter().map(Json::as_u64).collect();
+                    assert_eq!(got, ns.iter().copied().map(Some).collect::<Vec<_>>());
+                }
+                Member::Strs(ss) => {
+                    let got: Vec<_> = v.as_array().unwrap().iter().map(Json::as_str).collect();
+                    assert_eq!(got, ss.iter().map(|s| Some(s.as_str())).collect::<Vec<_>>());
+                }
+                Member::Obj(inner) => assert_reads_back(inner, v),
+            }
+        }
+    }
+
+    /// Whatever the writer emits, in either layout, `parse` reads back
+    /// as the values written: strings with every escape class, `u64`s
+    /// beyond 2^53, floats (a non-finite one as `null`), options,
+    /// arrays and a nested object.
+    #[test]
+    fn writer_output_parses_back() {
+        check::cases(0x0b_1ec7, check::DEFAULT_CASES, |rng| {
+            let members = random_members(rng, 0);
+            for layout in [Layout::Line, Layout::Pretty] {
+                let text = object(layout, |obj| write_members(obj, &members));
+                assert_eq!(text.contains('\n'), layout == Layout::Pretty);
+                let doc = parse(&text).unwrap_or_else(|e| panic!("{e} in {text}"));
+                assert_reads_back(&members, &doc);
+            }
+        });
+    }
+
+    #[test]
+    fn layouts_are_pinned() {
+        let fields = |obj: &mut ObjectWriter<'_>| {
+            obj.number("n", 3u8);
+            obj.opt_number("none", None::<u64>);
+            obj.number_array("a", [1u32, 2]);
+            obj.string_array("s", ["x"]);
+            obj.object("o", |o| {
+                o.bool("t", true);
+                o.float("f", 0.5);
+            });
+            obj.raw("r", "[]");
+        };
+        assert_eq!(
+            object(Layout::Line, fields),
+            r#"{"n": 3, "none": null, "a": [1, 2], "s": ["x"], "o": {"t": true, "f": 0.5}, "r": []}"#
+        );
+        assert_eq!(
+            object(Layout::Pretty, fields),
+            "{\n  \"n\": 3,\n  \"none\": null,\n  \"a\": [1, 2],\n  \"s\": [\"x\"],\n  \
+             \"o\": {\"t\": true, \"f\": 0.5},\n  \"r\": []\n}"
+        );
+        assert_eq!(object(Layout::Line, |_| {}), "{}");
+        assert_eq!(object(Layout::Pretty, |_| {}), "{\n}");
     }
 }

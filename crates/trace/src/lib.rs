@@ -11,9 +11,9 @@
 //!
 //! Two recording levels keep the cost model honest:
 //!
-//! * **Metrics** ([`TraceMode::Metrics`]) — monotonic [`Counter`]s,
-//!   fixed-bucket log₂ [`Histogram`]s and per-[`Stage`] time/activation
-//!   totals. Cheap enough to leave on for whole campaigns.
+//! * **Metrics** ([`TraceMode::Metrics`]) — monotonic [`Counter`]s and
+//!   per-[`Stage`] time/activation totals. Cheap enough to leave on for
+//!   whole campaigns.
 //! * **Full** ([`TraceMode::Full`]) — metrics plus the ordered event
 //!   stream, for NDJSON export and replay-grade debugging.
 //!
@@ -232,111 +232,14 @@ impl Counter {
     }
 }
 
-/// Number of log₂ buckets in a [`Histogram`]: bucket 0 holds zeros,
-/// bucket `b ≥ 1` holds values in `[2^(b-1), 2^b)`, the last bucket
-/// additionally absorbs everything larger.
-pub const HISTOGRAM_BUCKETS: usize = 33;
-
-/// A fixed-bucket log₂ histogram of `u64` samples (sizes or latencies).
-///
-/// Deterministic and mergeable: bucket boundaries are fixed powers of
-/// two, so merging two histograms is element-wise addition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Histogram {
-    buckets: [u64; HISTOGRAM_BUCKETS],
-    count: u64,
-    total: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self {
-            buckets: [0; HISTOGRAM_BUCKETS],
-            count: 0,
-            total: 0,
-        }
-    }
-}
-
-impl Histogram {
-    /// Bucket index for a value.
-    pub fn bucket_of(value: u64) -> usize {
-        if value == 0 {
-            0
-        } else {
-            ((value.ilog2() as usize) + 1).min(HISTOGRAM_BUCKETS - 1)
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, value: u64) {
-        self.buckets[Self::bucket_of(value)] += 1;
-        self.count += 1;
-        self.total = self.total.saturating_add(value);
-    }
-
-    /// Number of samples recorded.
-    pub const fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all samples (saturating).
-    pub const fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Mean sample value, or 0.0 with no samples.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.total as f64 / self.count as f64
-        }
-    }
-
-    /// Per-bucket sample counts.
-    pub const fn buckets(&self) -> &[u64; HISTOGRAM_BUCKETS] {
-        &self.buckets
-    }
-
-    /// Adds another histogram's samples into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (mine, theirs) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *mine += theirs;
-        }
-        self.count += other.count;
-        self.total = self.total.saturating_add(other.total);
-    }
-}
-
 /// Aggregate metrics: always on while a [`Tracer`] is attached, even
 /// when full event recording is off.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Metrics {
     counters: [u64; Counter::COUNT],
-    /// Activations per hammer-loop invocation.
-    pub hammer_activations: Histogram,
-    /// Order of each buddy allocation served.
-    pub alloc_order: Histogram,
-    /// Simulated nanoseconds of each completed stage entry.
-    pub stage_latency: Histogram,
     stage_nanos: [u64; Stage::COUNT],
     stage_entries: [u64; Stage::COUNT],
     stage_activations: [u64; Stage::COUNT],
-}
-
-impl Default for Metrics {
-    fn default() -> Self {
-        Self {
-            counters: [0; Counter::COUNT],
-            hammer_activations: Histogram::default(),
-            alloc_order: Histogram::default(),
-            stage_latency: Histogram::default(),
-            stage_nanos: [0; Stage::COUNT],
-            stage_entries: [0; Stage::COUNT],
-            stage_activations: [0; Stage::COUNT],
-        }
-    }
 }
 
 impl Metrics {
@@ -372,9 +275,6 @@ impl Metrics {
         for (mine, theirs) in self.counters.iter_mut().zip(other.counters.iter()) {
             *mine += theirs;
         }
-        self.hammer_activations.merge(&other.hammer_activations);
-        self.alloc_order.merge(&other.alloc_order);
-        self.stage_latency.merge(&other.stage_latency);
         for (mine, theirs) in self.stage_nanos.iter_mut().zip(other.stage_nanos.iter()) {
             *mine += theirs;
         }
@@ -585,30 +485,18 @@ impl TraceSink {
         }
     }
 
-    /// [`TraceSink::new`] with a pre-sized event arena.
-    ///
-    /// A tiny campaign cell records tens of thousands of events; growing
-    /// the stream through doubling reallocations is measurable on the
-    /// hot path. The hint is a capacity reservation only — it cannot
-    /// change *what* is recorded, so callers may derive it from
-    /// scheduling-dependent observations (e.g. the previous cell's
-    /// event count) without breaking byte-identical output. Ignored in
-    /// [`TraceMode::Metrics`], which records no events.
-    pub fn with_capacity(mode: TraceMode, events_hint: usize) -> Self {
-        let mut sink = Self::new(mode);
-        if sink.record_events {
-            sink.events.reserve_exact(events_hint);
-        }
-        sink
-    }
-
     /// Resets the sink for reuse on another campaign cell, keeping the
     /// event arena's allocation. Streaming campaigns serialize each
     /// cell's sink as the cell finishes and then hand the spent sink
     /// back through here, so one arena allocation serves every cell a
-    /// worker processes. Recycling is a capacity optimisation only —
-    /// a recycled sink records byte-identically to a fresh
-    /// [`TraceSink::with_capacity`] sink — exactly like capacity hints.
+    /// worker processes. `events_hint` pre-sizes the arena: a tiny cell
+    /// records tens of thousands of events, and growing the stream
+    /// through doubling reallocations is measurable on the hot path.
+    /// Recycling and the hint are capacity optimisations only — they
+    /// cannot change *what* is recorded, so callers may derive the hint
+    /// from scheduling-dependent observations (e.g. the previous cell's
+    /// event count) without breaking byte-identical output. The hint is
+    /// ignored in [`TraceMode::Metrics`], which records no events.
     pub fn recycle(mut self, mode: TraceMode, events_hint: usize) -> Self {
         self.cell = 0;
         self.now = 0;
@@ -666,7 +554,6 @@ impl TraceSink {
         self.metrics.bump(Counter::DramActivations, activations);
         self.metrics.bump(Counter::DramTrrRefreshes, trr_refreshes);
         self.metrics.bump(Counter::DramBitFlips, flips);
-        self.metrics.hammer_activations.record(activations);
         if let Some((stage, _)) = self.current_stage {
             self.metrics.stage_activations[stage.index()] += activations;
         }
@@ -692,7 +579,6 @@ impl TraceSink {
         };
         let nanos = self.now.saturating_sub(start);
         self.metrics.stage_nanos[stage.index()] += nanos;
-        self.metrics.stage_latency.record(nanos);
         self.record(Event::StageEnd { stage, nanos });
     }
 }
@@ -725,32 +611,16 @@ impl Tracer {
         }
     }
 
-    /// [`Tracer::new`] with a pre-sized event arena — see
-    /// [`TraceSink::with_capacity`] for why hints are always safe.
-    pub fn with_capacity(mode: TraceMode, events_hint: usize) -> Self {
-        match mode {
-            TraceMode::Off => Self::default(),
-            mode => Self {
-                sink: Some(Rc::new(RefCell::new(TraceSink::with_capacity(
-                    mode,
-                    events_hint,
-                )))),
-            },
-        }
-    }
-
-    /// [`Tracer::with_capacity`] that reuses a previously taken sink's
-    /// allocation via [`TraceSink::recycle`] — the per-worker
+    /// [`Tracer::new`] with a pre-sized event arena that reuses a
+    /// previously taken sink's allocation via [`TraceSink::recycle`]
+    /// (see there for why hints are always safe) — the per-worker
     /// flush-and-reuse path of streaming campaigns. Passing `None`
-    /// falls back to a fresh arena.
+    /// starts a fresh arena.
     pub fn with_recycled(mode: TraceMode, events_hint: usize, recycled: Option<TraceSink>) -> Self {
         match mode {
             TraceMode::Off => Self::default(),
             mode => {
-                let sink = match recycled {
-                    Some(spent) => spent.recycle(mode, events_hint),
-                    None => TraceSink::with_capacity(mode, events_hint),
-                };
+                let sink = recycled.unwrap_or_default().recycle(mode, events_hint);
                 Self {
                     sink: Some(Rc::new(RefCell::new(sink))),
                 }
@@ -834,7 +704,6 @@ impl Tracer {
     pub fn buddy_alloc(&self, order: u8) {
         self.with(|s| {
             s.metrics.bump(Counter::BuddyAllocs, 1);
-            s.metrics.alloc_order.record(u64::from(order));
             s.record(Event::BuddyAlloc { order });
         });
     }
@@ -1026,7 +895,7 @@ mod tests {
             t.stage_end(Stage::Exploit);
             t.buddy_alloc(3);
         };
-        let fresh = Tracer::with_capacity(TraceMode::Full, 8);
+        let fresh = Tracer::with_recycled(TraceMode::Full, 8, None);
         record(&fresh);
         let fresh_sink = fresh.take_sink().expect("attached");
 
@@ -1067,7 +936,6 @@ mod tests {
         assert_eq!(m.stage_nanos(Stage::Exploit), 3_000);
         assert_eq!(m.stage_activations(Stage::Exploit), 500);
         assert_eq!(m.get(Counter::DramActivations), 507);
-        assert_eq!(m.stage_latency.count(), 1);
         assert!(matches!(
             sink.events().last().expect("events recorded").event,
             Event::Hammer { activations: 7, .. }
@@ -1091,25 +959,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_are_log2() {
-        assert_eq!(Histogram::bucket_of(0), 0);
-        assert_eq!(Histogram::bucket_of(1), 1);
-        assert_eq!(Histogram::bucket_of(2), 2);
-        assert_eq!(Histogram::bucket_of(3), 2);
-        assert_eq!(Histogram::bucket_of(4), 3);
-        assert_eq!(Histogram::bucket_of(u64::MAX), HISTOGRAM_BUCKETS - 1);
-        let mut h = Histogram::default();
-        h.record(0);
-        h.record(3);
-        h.record(3);
-        assert_eq!(h.count(), 3);
-        assert_eq!(h.total(), 6);
-        assert!((h.mean() - 2.0).abs() < 1e-12);
-        assert_eq!(h.buckets()[0], 1);
-        assert_eq!(h.buckets()[2], 2);
-    }
-
-    #[test]
     fn merge_is_elementwise_addition() {
         let a = Tracer::new(TraceMode::Metrics);
         a.hammer(10, 1, 0);
@@ -1127,8 +976,6 @@ mod tests {
         assert_eq!(merged.get(Counter::DramBitFlips), 2);
         assert_eq!(merged.get(Counter::BuddyExhaustions), 1);
         assert_eq!(merged.stage_nanos(Stage::Profile), 50);
-        assert_eq!(merged.hammer_activations.count(), 2);
-        assert_eq!(merged.hammer_activations.total(), 42);
     }
 
     #[test]
@@ -1161,13 +1008,13 @@ mod tests {
             let plain = run(Tracer::new(mode));
             for hint in [0, 1, 4096] {
                 assert_eq!(
-                    run(Tracer::with_capacity(mode, hint)),
+                    run(Tracer::with_recycled(mode, hint, None)),
                     plain,
                     "hint {hint} perturbed a {mode:?} sink"
                 );
             }
         }
-        assert!(!Tracer::with_capacity(TraceMode::Off, 512).is_on());
+        assert!(!Tracer::with_recycled(TraceMode::Off, 512, None).is_on());
     }
 
     #[test]

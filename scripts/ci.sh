@@ -275,6 +275,36 @@ stage_memory_cap() {
         return 1
     fi
 
+    # A traced tiny cell's lines go straight to the --trace file when the
+    # cell is next in grid order, so one worker never holds a cell's
+    # whole formatted trace: at --jobs 1 the traced run must peak within
+    # 3x of the same grid run untraced.
+    local untraced traced
+    for mode in untraced traced; do
+        local trace_flags=()
+        if [ "$mode" = traced ]; then
+            trace_flags=(--trace "$tmpdir/tiny_trace.ndjson")
+        fi
+        echo "==> campaign --json --jobs 1 (4-seed tiny grid, ${mode})"
+        ./target/release/hyperhammer-sim \
+            campaign --scenarios tiny --seeds 4 --attempts 2 --bits 4 \
+            --jobs 1 --json "${trace_flags[@]}" \
+            >/dev/null 2>"$tmpdir/rss_tiny_${mode}.txt"
+        cat "$tmpdir/rss_tiny_${mode}.txt"
+    done
+    rm -f "$tmpdir/tiny_trace.ndjson"
+    untraced=$(sed -n 's/^campaign: peak RSS \([0-9]*\) KiB$/\1/p' "$tmpdir/rss_tiny_untraced.txt")
+    traced=$(sed -n 's/^campaign: peak RSS \([0-9]*\) KiB$/\1/p' "$tmpdir/rss_tiny_traced.txt")
+    if [ -z "$untraced" ] || [ -z "$traced" ]; then
+        echo "memory-cap: peak RSS report missing from tiny campaign stderr" >&2
+        return 1
+    fi
+    if [ "$traced" -gt $((untraced * 3)) ]; then
+        echo "memory-cap: traced tiny campaign holds its trace in memory:" \
+            "${traced} KiB traced vs ${untraced} KiB untraced" >&2
+        return 1
+    fi
+
     # Byte-identity: plain --json vs the --stream-out file, 1/2/8 workers.
     # --json emits pure NDJSON (the human banner only prints without it).
     ./target/release/hyperhammer-sim \
@@ -284,7 +314,8 @@ stage_memory_cap() {
         --scenarios micro --seeds 16 --attempts 2 --bits 4 --json --stream-out "@D/eq_@J"
     echo "memory-cap: 4096-cell streaming peaked at ${rss_large} KiB" \
         "(64-cell: ${rss_small} KiB); 256-cell traced at ${traced_large} KiB" \
-        "(64-cell: ${traced_small} KiB); streamed output byte-identical at --jobs 1/2/8"
+        "(64-cell: ${traced_small} KiB); traced tiny at ${traced} KiB" \
+        "(untraced: ${untraced} KiB); streamed output byte-identical at --jobs 1/2/8"
 }
 
 stage_server_smoke() {
